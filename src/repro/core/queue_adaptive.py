@@ -50,7 +50,7 @@ hand-off and spill/re-inject legality (see ``repro.verify.oracle``).
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Tuple
+from typing import Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -379,7 +379,7 @@ class GrowQueue(RetryFreeQueue):
     # kernel side: the RF/AN protocol over segmented storage
     # ------------------------------------------------------------------
     def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
+        self, ctx: KernelContext, st: WavefrontQueueState, spun: int = 0
     ) -> Generator[Op, Op, None]:
         custom = ctx.stats.custom
         probe = ctx.probe
@@ -413,7 +413,10 @@ class GrowQueue(RetryFreeQueue):
             lanes, phys, read, n_mapped, seg_read, seg_idx = cache
             progressed = False
             if seg_read is not None:
-                yield seg_read
+                if spun:
+                    spun -= 1
+                else:
+                    yield seg_read
                 if seg_read.fresh:
                     linked = seg_read.result >= 0
                     if linked.any():
@@ -428,7 +431,8 @@ class GrowQueue(RetryFreeQueue):
                 return
             if probe is not None:
                 probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
-            yield read
+            if not spun:
+                yield read
             custom[K_ARRIVAL_CHECKS] += n_mapped
             if not read.fresh:
                 if probe is not None:
@@ -456,6 +460,25 @@ class GrowQueue(RetryFreeQueue):
             custom[K_DEQ_TOKENS] += int(got_lanes.size)
             yield from self._recycle(ctx, segcache, raw_got)
             return
+
+    def idle_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState
+    ) -> Optional[Tuple[Tuple[MemRead, ...], Optional[int]]]:
+        """The cached ``(seg_read, read)`` pair, either one absent when it
+        has nothing to poll."""
+        cache = st.cache
+        if cache is None:
+            return None
+        _lanes, _phys, read, n_mapped, seg_read, _seg_idx = cache
+        polls = () if seg_read is None else (seg_read,)
+        if n_mapped:
+            polls += (read,)
+        return polls, None
+
+    def account_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState, rounds: int
+    ) -> None:
+        ctx.stats.custom[K_ARRIVAL_CHECKS] += rounds * st.cache[3]
 
     def _reserve_hungry(
         self, ctx: KernelContext, st: WavefrontQueueState, n_hungry: int

@@ -26,6 +26,21 @@ The contract seen by the persistent-thread scheduler:
     Enqueue newly discovered tokens: lane *i* contributes
     ``tokens[i, :counts[i]]``.
 
+``idle_polls(ctx, st)`` / ``account_polls(ctx, st, rounds)``
+    The engine-resident spin (:class:`~repro.simt.ops.Spin`).  The
+    scheduler asks only when every lane of ``st`` is parked on a slot.
+    When the next ``acquire`` would then only re-issue cached prechecked
+    polls — nothing else to do unless a poll comes back fresh —
+    ``idle_polls`` returns those reads and how many such acquires may
+    run back to back (None: no bound).  The scheduler hands
+    them to the engine; ``account_polls`` then books the counters of the
+    ``rounds`` acquires the engine ran without resuming the generator,
+    and ``acquire(ctx, st, spun=k)`` finishes an acquire whose first
+    ``k`` polls the engine already issued.  The default is None: no
+    spin.  A subclass that overrides ``acquire`` without overriding
+    ``idle_polls`` gets the default back, because its idle path may
+    issue other ops.
+
 Statistics land in ``ctx.stats.custom`` under ``queue.*`` keys so the
 harness can compute the paper's retry metrics (Figures 1 and 5).
 """
@@ -33,7 +48,7 @@ harness can compute the paper's retry metrics (Figures 1 and 5).
 from __future__ import annotations
 
 import abc
-from typing import Generator, Iterable, Optional
+from typing import Generator, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +57,11 @@ from repro.simt.memory import MemoryFault
 
 from .constants import DNA, FRONT, REAR
 from .state import WavefrontQueueState
+
+#: the (Front, Rear) index of every control read.  Read-only, so the
+#: engine caches its span and transaction count once per launch.
+_CTRL_INDEX = np.array([FRONT, REAR], dtype=np.int64)
+_CTRL_INDEX.setflags(write=False)
 
 # custom-counter keys (shared across variants so reports line up)
 K_DEQ_REQUESTS = "queue.dequeue_requests"      # lanes that asked for work
@@ -82,6 +102,12 @@ class DeviceQueue(abc.ABC):
     retry_free: bool = False
     #: whether the variant has the arbitrary-n property.
     arbitrary_n: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a new idle path voids the inherited spin hook (see module doc).
+        if "acquire" in cls.__dict__ and "idle_polls" not in cls.__dict__:
+            cls.idle_polls = DeviceQueue.idle_polls  # type: ignore[method-assign]
 
     def __init__(self, capacity: int, prefix: str = "wq", circular: bool = False):
         if capacity <= 0:
@@ -177,10 +203,22 @@ class DeviceQueue(abc.ABC):
     ) -> Generator[Op, Op, None]:
         """Enqueue ``tokens[i, :counts[i]]`` for every lane ``i``."""
 
+    def idle_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState
+    ) -> Optional[Tuple[Tuple[MemRead, ...], Optional[int]]]:
+        """``(reads, max_rounds)`` of an idle ``acquire`` of a wavefront
+        whose lanes are all parked, or None."""
+        return None
+
+    def account_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState, rounds: int
+    ) -> None:
+        """Book the counters of ``rounds`` idle acquires run as a spin."""
+
     # convenience for subclasses -----------------------------------------
     def _read_ctrl(self) -> MemRead:
         """One coalesced read of (Front, Rear)."""
-        return MemRead(self.buf_ctrl, np.array([FRONT, REAR], dtype=np.int64))
+        return MemRead(self.buf_ctrl, _CTRL_INDEX)
 
     def _probe(self, ctx: KernelContext) -> Optional[object]:
         """The launch's observability probe (None almost always).

@@ -26,7 +26,7 @@ many entries move — the arbitrary-n property.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class RetryFreeQueue(DeviceQueue):
     arbitrary_n = True
 
     def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
+        self, ctx: KernelContext, st: WavefrontQueueState, spun: int = 0
     ) -> Generator[Op, Op, None]:
         custom = ctx.stats.custom
         probe = ctx.probe
@@ -123,7 +123,8 @@ class RetryFreeQueue(DeviceQueue):
             return
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
-        yield read
+        if not spun:
+            yield read
         custom[K_ARRIVAL_CHECKS] += n_lanes
         if not read.fresh:
             # the engine elided the re-sample: no store hit the slot
@@ -156,6 +157,28 @@ class RetryFreeQueue(DeviceQueue):
         st.unwatch(got_lanes)
         st.grant(got_lanes, tokens)
         custom[K_DEQ_TOKENS] += int(got_lanes.size)
+
+    def idle_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState
+    ) -> Optional[Tuple[Tuple[MemRead, ...], Optional[int]]]:
+        """The cached arrival poll.
+
+        With every lane parked, an elided poll grants nothing, so the
+        acquire repeats itself until the poll comes back fresh.  A watch
+        set entirely beyond the queue bounds polls nothing at all (an
+        empty tuple).
+        """
+        cache = st.cache
+        if cache is None:
+            return None
+        if cache[3] == 0:
+            return (), None
+        return (cache[2],), None
+
+    def account_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState, rounds: int
+    ) -> None:
+        ctx.stats.custom[K_ARRIVAL_CHECKS] += rounds * st.cache[3]
 
     def publish(
         self,

@@ -58,7 +58,7 @@ bit-identical to the bare inner variant (pinned by
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, Iterable, List, Optional, Type
+from typing import Dict, Generator, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -279,14 +279,17 @@ class ShardedQueue(DeviceQueue):
         return (home + 1 + off) % self.n_shards
 
     def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
+        self, ctx: KernelContext, st: WavefrontQueueState, spun: int = 0
     ) -> Generator[Op, Op, None]:
-        if self.n_shards == 1:
-            yield from self.shards[0].acquire(ctx, st)
-            return
         home = ctx.wf_id % self.n_shards
+        h = self.shards[home]
+        # only a spin-capable (RF/AN) shard is ever resumed mid-acquire.
+        inner = h.acquire(ctx, st, spun) if spun else h.acquire(ctx, st)
+        if self.n_shards == 1:
+            yield from inner
+            return
         before = st.n_token
-        yield from self.shards[home].acquire(ctx, st)
+        yield from inner
         got = st.n_token - before
         if got:
             ctx.stats.custom[self._k_granted[home]] += got
@@ -303,6 +306,29 @@ class ShardedQueue(DeviceQueue):
         if spin <= self.spin_threshold:
             return
         yield from self._steal(ctx, home, wf)
+
+    def idle_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState
+    ) -> Optional[Tuple[Tuple[MemRead, ...], Optional[int]]]:
+        """The home shard's idle polls.  With stealing on, every idle
+        acquire bumps the wavefront's steal spin counter and the one
+        that passes ``spin_threshold`` steals, so the rounds are capped
+        just short of it."""
+        polls = self.shards[ctx.wf_id % self.n_shards].idle_polls(ctx, st)
+        if polls is None or not self.steal:
+            return polls
+        left = self.spin_threshold - self._wf_state(ctx)["spin"]
+        if left <= 0:
+            return None
+        reads, cap = polls
+        return reads, left if cap is None else min(cap, left)
+
+    def account_polls(
+        self, ctx: KernelContext, st: WavefrontQueueState, rounds: int
+    ) -> None:
+        self.shards[ctx.wf_id % self.n_shards].account_polls(ctx, st, rounds)
+        if self.steal:
+            self._wf_state(ctx)["spin"] += rounds
 
     def publish(
         self,

@@ -33,12 +33,25 @@ termination store — double as the liveness signals of
 recorder sees no work marks, deliveries, stores, or exits for a whole
 watch window is wedged, and the recorder's per-wavefront phase marks
 name the dominant stall class in the resulting post-mortem.
+
+Engine-resident idle spin
+-------------------------
+A wavefront whose lanes are all parked on queue slots repeats the same
+iteration — an elided done-flag poll, the queue's elided arrival polls,
+nothing else — until some poll comes back fresh.  Unprobed, both
+kernels hand that iteration to the engine as one
+:class:`~repro.simt.ops.Spin` (see :meth:`DeviceQueue.idle_polls
+<repro.core.queue_api.DeviceQueue.idle_polls>`) and book the skipped
+iterations' counters in closed form when it returns.  A round limit
+keeps ``max_work_cycles`` raising at the same iteration as the per-op
+loop.  Probed launches keep the per-op loop, which every probe hook
+observes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Protocol
+from typing import Generator, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -50,6 +63,7 @@ from repro.simt import (
     MemRead,
     MemWrite,
     Op,
+    Spin,
 )
 from .constants import DEFAULT_SUBTASKS_PER_CYCLE, DONE, PENDING
 from .queue_api import DeviceQueue
@@ -140,6 +154,54 @@ class SchedulerControl:
         return int(memory[self.buf_ctrl][PENDING])
 
 
+def _idle_spin(
+    queue: DeviceQueue,
+    ctx: KernelContext,
+    st: WavefrontQueueState,
+    dread: MemRead,
+    cycles: int,
+    max_cycles: Optional[int],
+) -> Optional[Spin]:
+    """The next iteration as one Spin, for a wavefront whose lanes are
+    all parked (a pure poller), when the queue can spin.
+
+    Rounds are capped so the engine never runs the iteration that would
+    exceed ``max_cycles``; a cap below two rounds saves nothing.
+    """
+    polls = queue.idle_polls(ctx, st)
+    if polls is None:
+        return None
+    reads, cap = polls
+    if max_cycles is not None:
+        left = max_cycles - cycles
+        cap = left if cap is None else min(cap, left)
+    if cap is not None and cap < 2:
+        return None
+    return Spin((dread,) + reads, cap)
+
+
+def _book_open_spin(
+    queue: DeviceQueue,
+    ctx: KernelContext,
+    st: WavefrontQueueState,
+    spin: Spin,
+    cycles: int,
+    idle_lanes: int,
+) -> Tuple[int, int]:
+    """Counters of a spin the launch teardown closed mid-flight.
+
+    The engine leaves ``rounds`` whole rounds and the index ``at`` of
+    the read in flight; the per-op loop would have booked those rounds
+    plus the current work cycle once its done-flag poll completed.
+    """
+    rounds = spin.rounds
+    queue.account_polls(ctx, st, rounds)
+    return (
+        cycles + rounds + (1 if spin.at else 0),
+        idle_lanes + rounds * st.wavefront_size,
+    )
+
+
 def persistent_kernel(
     queue: DeviceQueue,
     worker: Worker,
@@ -184,14 +246,28 @@ def persistent_kernel(
         # block (the engine closes kernel generators at launch teardown,
         # so the flush also runs for aborted or timed-out launches).
         idle_lanes = 0
+        spin: Optional[Spin] = None
         try:
             while True:
                 # 1. WorkRemains()? — poll the done flag.  An elided poll
                 # (dread.fresh False) means the control word is untouched
                 # since the previous cycle's check, which saw 0.
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "termination")
-                yield dread
+                spun = 0
+                if probe is None and st.n_watching == wf_size:
+                    spin = _idle_spin(queue, ctx, st, dread, cycles, max_cycles)
+                if spin is None:
+                    if probe is not None:
+                        probe.wf_phase(ctx.wf_id, "termination")
+                    yield dread
+                else:
+                    yield spin
+                    rounds = spin.rounds
+                    if rounds:
+                        cycles += rounds
+                        idle_lanes += rounds * wf_size
+                        queue.account_polls(ctx, st, rounds)
+                    spun = spin.at
+                    spin = None
                 if dread.fresh and int(dread.result[0]):
                     break
                 cycles += 1
@@ -201,8 +277,12 @@ def persistent_kernel(
                         f"{max_cycles}; termination protocol stuck?"
                     )
 
-                # 2. GetWorkToken() for hungry lanes.
-                yield from queue.acquire(ctx, st)
+                # 2. GetWorkToken() for hungry lanes (after a spin, its
+                # first `spun` polls are already issued).
+                if spun:
+                    yield from queue.acquire(ctx, st, spun=spun)
+                else:
+                    yield from queue.acquire(ctx, st)
                 idle_lanes += wf_size - st.n_token
                 if probe is not None:
                     probe.sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
@@ -271,6 +351,10 @@ def persistent_kernel(
                             "completed twice or never accounted"
                         )
         finally:
+            if spin is not None:
+                cycles, idle_lanes = _book_open_spin(
+                    queue, ctx, st, spin, cycles, idle_lanes
+                )
             custom[K_WORK_CYCLES] = custom.get(K_WORK_CYCLES, 0) + cycles
             custom[K_IDLE_CYCLES] = custom.get(K_IDLE_CYCLES, 0) + idle_lanes
 
@@ -336,13 +420,27 @@ def sharded_persistent_kernel(
         # block (the engine closes kernel generators at launch teardown,
         # so the flush also runs for aborted or timed-out launches).
         idle_lanes = 0
+        spin: Optional[Spin] = None
         try:
             while True:
                 # An elided poll (dread.fresh False) means the control
                 # word is untouched since the previous check, which saw 0.
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "termination")
-                yield dread
+                spun = 0
+                if probe is None and st.n_watching == wf_size:
+                    spin = _idle_spin(queue, ctx, st, dread, cycles, max_cycles)
+                if spin is None:
+                    if probe is not None:
+                        probe.wf_phase(ctx.wf_id, "termination")
+                    yield dread
+                else:
+                    yield spin
+                    rounds = spin.rounds
+                    if rounds:
+                        cycles += rounds
+                        idle_lanes += rounds * wf_size
+                        queue.account_polls(ctx, st, rounds)
+                    spun = spin.at
+                    spin = None
                 if dread.fresh and int(dread.result[0]):
                     break
                 cycles += 1
@@ -352,7 +450,10 @@ def sharded_persistent_kernel(
                         f"{max_cycles}; termination protocol stuck?"
                     )
 
-                yield from queue.acquire(ctx, st)
+                if spun:
+                    yield from queue.acquire(ctx, st, spun=spun)
+                else:
+                    yield from queue.acquire(ctx, st)
                 idle_lanes += wf_size - st.n_token
                 if probe is not None:
                     probe.sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
@@ -393,6 +494,10 @@ def sharded_persistent_kernel(
                             "completed twice or never accounted"
                         )
         finally:
+            if spin is not None:
+                cycles, idle_lanes = _book_open_spin(
+                    queue, ctx, st, spin, cycles, idle_lanes
+                )
             custom[K_WORK_CYCLES] = custom.get(K_WORK_CYCLES, 0) + cycles
             custom[k_cycles] = custom.get(k_cycles, 0) + cycles
             custom[K_IDLE_CYCLES] = custom.get(K_IDLE_CYCLES, 0) + idle_lanes

@@ -93,9 +93,10 @@ DEFAULT_RULES: Sequence[Rule] = (
     Rule("scheduler.*", better="lower", exact=True),
     # vectorized-engine throughput floors (CI bench-vector-guard): the
     # values sit above the scalar reference path's locally measured
-    # throughput (soup ~174k, bfs ~118k ops/s) and 2-3x below the
-    # vectorized path (~480k/~457k), so losing vectorization trips the
-    # floor while ordinary runner slowness does not.
+    # throughput (soup ~174k, bfs ~118k ops/s) and well below the
+    # vectorized path's committed baseline (``soup``/``bfs``
+    # ``ops_per_sec`` in BENCH_engine.json), so losing vectorization
+    # trips the floor while ordinary runner slowness does not.
     Rule("soup.ops_per_sec", better="higher", floor=200_000),
     Rule("bfs.ops_per_sec", better="higher", floor=140_000),
     # wall-clock quantities: tolerant

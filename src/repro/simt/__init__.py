@@ -52,6 +52,7 @@ from .ops import (
     MemRead,
     MemWrite,
     Op,
+    Spin,
 )
 from .stats import SimStats
 
@@ -97,4 +98,5 @@ __all__ = [
     "MemWrite",
     "Op",
     "SimStats",
+    "Spin",
 ]

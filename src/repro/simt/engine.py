@@ -55,6 +55,13 @@ execution model):
   per-lane reference path instead (loop over lanes for every gather,
   scatter and atomic); it exists so the bit-identity suite can pin the
   vectorized path against an implementation too simple to be wrong;
+* a kernel whose idle iteration is nothing but such re-yielded reads
+  yields them once as a :class:`~repro.simt.ops.Spin`, and the engine
+  re-issues them itself — inline in the ``WF_READY`` handler when the
+  CU is free and its ready queue empty, from ``issue_from`` otherwise —
+  charging each exactly like a yielded read (issue, latency, sequence
+  numbers, elision counts).  The generator resumes only after a read
+  comes back fresh or at the spin's round limit;
 * the event most recently scheduled by an issue can park in a one-entry
   ``nxt`` slot instead of the heap; the slot and the heap top are
   totally ordered by the same ``(time, seq)`` tuple compare the heap
@@ -83,7 +90,17 @@ from .errors import (
     SimulationTimeout,
 )
 from .memory import GlobalMemory
-from .ops import Abort, AtomicRMW, Compute, Fence, LocalOp, MemRead, MemWrite, Op
+from .ops import (
+    Abort,
+    AtomicRMW,
+    Compute,
+    Fence,
+    LocalOp,
+    MemRead,
+    MemWrite,
+    Op,
+    Spin,
+)
 from .stats import SimStats
 
 #: segment size (in 8-byte words) used by the coalescing model: lanes whose
@@ -190,7 +207,7 @@ Kernel = Callable[[KernelContext], Generator[Op, Op, None]]
 class _Wavefront:
     """Engine-internal record for one resident wavefront."""
 
-    __slots__ = ("wid", "cu", "gen", "pending", "pkind")
+    __slots__ = ("wid", "cu", "gen", "pending", "pkind", "spin", "sidx")
 
     def __init__(self, wid: int, cu: "_CU", gen: Generator[Op, Op, None]):
         self.wid = wid
@@ -200,6 +217,11 @@ class _Wavefront:
         #: dispatch id of `pending`, cached at issue so completion
         #: handlers skip the class lookup.
         self.pkind = 0
+        #: the Spin the engine is running for this wavefront (None: the
+        #: generator is driven op by op), and the index in ``spin.reads``
+        #: of the read in flight.
+        self.spin: Optional[Spin] = None
+        self.sidx = 0
 
 
 class _CU:
@@ -266,15 +288,18 @@ EXEC_MODE = "vector"
 #: cumulative execution-path counters across launches (reset with
 #: :func:`reset_exec_counts`): how many memory-op completions took the
 #: vectorized path, were elided as unchanged, or fell back to the scalar
-#: reference loop.  Deliberately *not* part of SimStats: path choice is a
-#: host-side implementation detail and must never leak into simulation
-#: results or report bytes.
+#: reference loop, and how many times a kernel generator was resumed
+#: (``resumes``: every ``send`` that issued an op or ended its kernel).
+#: Deliberately *not* part of SimStats: path choice is a host-side
+#: implementation detail and must never leak into simulation results or
+#: report bytes.
 EXEC_COUNTS: Dict[str, int] = {
     "reads_vector": 0,
     "reads_elided": 0,
     "reads_scalar": 0,
     "writes_vector": 0,
     "writes_scalar": 0,
+    "resumes": 0,
 }
 
 #: wall-clock seconds per op class (plus "issue" for CU wake-ups), only
@@ -581,6 +606,8 @@ class Engine:
         n_trans = n_lds = n_busy = 0
         # execution-path counters, flushed into EXEC_COUNTS
         x_rvec = x_reld = x_rsc = x_wvec = x_wsc = 0
+        # reads the engine re-issued for a Spin (no generator resume)
+        x_spun = 0
 
         def span_trans(op, raw) -> int:
             """Transaction count for a mem op, caching the index extremes
@@ -614,6 +641,24 @@ class Engine:
                     return 1
                 return 0
             return transactions_for(raw)
+
+        def spin_cost(op) -> tuple:
+            """``(transactions, issue-to-completion cycles)`` of a spin
+            read, exactly as the read branch of ``issue_from`` charges."""
+            if op.__class__ is not MemRead:
+                raise TypeError(f"a Spin may only hold MemReads, got {op!r}")
+            trans = op.trans
+            if trans is None:
+                trans = span_trans(op, op.index)
+            buf = op.buf
+            lat = lat_cache.get(buf)
+            if lat is None:
+                lat = l2_latency if is_hot(buf) else mem_latency
+                lat_cache[buf] = lat
+            d = issue + lat
+            if trans > 1:
+                d += (trans - 1) * pipe
+            return trans, d
 
         def checked_index(op) -> np.ndarray:
             """Bounds-validated index, using the span cached at issue."""
@@ -695,7 +740,7 @@ class Engine:
             attached) is issued without the deque round trip — the single
             hottest call pattern of a saturated launch.
             """
-            nonlocal live, abort_exc, nxt
+            nonlocal live, abort_exc, nxt, x_spun
             nonlocal n_issued, n_compute, n_reads, n_writes, n_trans, n_lds, n_busy
             if abort_exc is not None:
                 return
@@ -724,31 +769,60 @@ class Engine:
                         wf = ready.popleft()
                 else:
                     wf = ready.popleft()
-                if probing:
-                    # expose the simulated clock and resuming wavefront
-                    # to kernel-side layers (queues, schedulers, tracers)
-                    # for event stamping and attribution.
-                    probe.now = now
-                    probe.cur_wf = wf.wid
-                try:
-                    op = wf.gen.send(wf.pending)
-                except StopIteration:
-                    live -= 1
+                spin = wf.spin
+                if spin is not None and not wf.pending.fresh and (
+                    wf.sidx + 1 < spin.n or spin.rounds + 1 != spin.limit
+                ):
+                    # continuation: re-issue the spin's next read instead
+                    # of resuming the generator (it resumes once a read
+                    # comes back fresh or the round limit is up).
+                    i = wf.sidx + 1
+                    if i == spin.n:
+                        spin.rounds += 1
+                        i = 0
+                    wf.sidx = i
+                    op = spin.reads[i]
+                    kind = _K_READ
+                    x_spun += 1
+                else:
+                    if spin is not None:
+                        spin.at = wf.sidx
+                        wf.spin = None
                     if probing:
-                        probe.on_exit(now, wf.wid)
-                    # the exiting instruction still occupied the pipe
-                    # briefly; charge nothing extra and keep issuing (a CU
-                    # draining many exiting wavefronts must not recurse).
-                    continue
-                except KernelAbort as exc:
-                    abort_exc = exc
-                    return
+                        # expose the simulated clock and resuming
+                        # wavefront to kernel-side layers (queues,
+                        # schedulers, tracers) for event stamping and
+                        # attribution.
+                        probe.now = now
+                        probe.cur_wf = wf.wid
+                    try:
+                        op = wf.gen.send(wf.pending)
+                    except StopIteration:
+                        live -= 1
+                        if probing:
+                            probe.on_exit(now, wf.wid)
+                        # the exiting instruction still occupied the pipe
+                        # briefly; charge nothing extra and keep issuing
+                        # (a CU draining many exiting wavefronts must not
+                        # recurse).
+                        continue
+                    except KernelAbort as exc:
+                        abort_exc = exc
+                        return
+                    cls = op.__class__
+                    kind = op_kind_get(cls)
+                    if kind is None:
+                        if cls is Spin:
+                            wf.spin = op
+                            op.rounds = 0
+                            wf.sidx = 0
+                            op.cost = tuple(spin_cost(r) for r in op.reads)
+                            op = op.reads[0]
+                            kind = _K_READ
+                        else:
+                            kind = _resolve_op_kind(cls, op)
                 wf.pending = op
                 n_issued += 1
-                cls = op.__class__
-                kind = op_kind_get(cls)
-                if kind is None:
-                    kind = _resolve_op_kind(cls, op)
                 wf.pkind = kind
 
                 if kind == _K_READ:
@@ -1050,8 +1124,42 @@ class Engine:
                     elif controlled or cu.ready:
                         cu.ready.append(wf)
                         issue_from(cu)
-                    else:
+                    elif (
+                        wf.spin is None
+                        or probing
+                        # (a spinning wavefront's pending op is the
+                        # read `op` that just completed)
+                        or op.fresh
+                        or (
+                            wf.sidx + 1 == wf.spin.n
+                            and wf.spin.rounds + 1 == wf.spin.limit
+                        )
+                    ):
                         issue_from(cu, wf)
+                    else:
+                        # inline re-issue of the spin's next read:
+                        # issue_from's read branch for a free CU with an
+                        # empty ready queue, costs precomputed.
+                        spin = wf.spin
+                        i = wf.sidx + 1
+                        if i == spin.n:
+                            spin.rounds += 1
+                            i = 0
+                        wf.sidx = i
+                        wf.pending = spin.reads[i]
+                        trans, d = spin.cost[i]
+                        n_issued += 1
+                        x_spun += 1
+                        n_reads += 1
+                        n_trans += trans
+                        n_busy += issue
+                        cu.busy_until = now + issue
+                        cu.wake = next_seq()
+                        ev = (now + d, next_seq(), _EV_WF_READY, wf)
+                        if nxt is None:
+                            nxt = ev
+                        else:
+                            heappush(heap, ev)
                 elif kind == _EV_CU_FREE:
                     cu = payload
                     if cu.ready and now >= cu.busy_until:
@@ -1123,8 +1231,11 @@ class Engine:
         finally:
             # close still-suspended kernel generators (abort/timeout paths)
             # so their own ``finally`` blocks flush deferred counters;
-            # exhausted generators make this a no-op.
+            # exhausted generators make this a no-op.  A spin still in
+            # flight reports the index of its read in flight in ``at``.
             for wf in all_wfs:
+                if wf.spin is not None:
+                    wf.spin.at = wf.sidx
                 wf.gen.close()
             stats.issued_ops += n_issued
             stats.compute_cycles += n_compute
@@ -1138,6 +1249,11 @@ class Engine:
             EXEC_COUNTS["reads_scalar"] += x_rsc
             EXEC_COUNTS["writes_vector"] += x_wvec
             EXEC_COUNTS["writes_scalar"] += x_wsc
+            # every issued op came from a send or a spin re-issue; the
+            # other sends are the ones that ended a kernel.
+            EXEC_COUNTS["resumes"] += (
+                n_issued - x_spun + n_wavefronts - live
+            )
 
         if charge_launch_overhead:
             total += device.kernel_launch_cycles

@@ -94,7 +94,9 @@ class MemRead(Op):
     Hot-loop contract: a ``prechecked`` read may be re-yielded any number
     of times (the queue layers park one poll op per watch set), but its
     ``index`` must not be mutated in place between yields — the engine's
-    read-elision fast path relies on the address set being stable.
+    read-elision fast path relies on the address set being stable.  The
+    same holds while the read sits in a :class:`Spin`: the engine then
+    re-issues it itself, and ``trans`` is read once when the spin starts.
     """
 
     __slots__ = ("buf", "index", "result", "trans", "prechecked", "span",
@@ -190,6 +192,42 @@ class Fence(Op):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "Fence()"
+
+
+class Spin(Op):
+    """An idle poll loop the engine runs on the kernel's behalf.
+
+    ``reads`` are the prechecked :class:`MemRead` ops one idle iteration
+    of the kernel issues, in order.  The engine issues them round after
+    round, charging every one exactly like a yielded read, and resumes
+    the generator only after a read comes back ``fresh`` or after the
+    last read of round ``limit - 1`` (``limit`` None: unbounded).  It
+    then sets :attr:`rounds`, the number of whole rounds in which every
+    read was elided, and :attr:`at`, the index of the read just
+    completed in the round after those.  The kernel books the skipped
+    rounds in closed form and carries on as if it had yielded
+    ``reads[0..at]`` itself — so a spin simulates bit-identically to the
+    per-op loop it replaces.  A launch torn down mid-spin (abort,
+    timeout) closes the generator with ``at`` at the read in flight.
+    """
+
+    __slots__ = ("reads", "n", "limit", "rounds", "at", "cost")
+
+    def __init__(self, reads: tuple, limit: Optional[int] = None):
+        if not reads:
+            raise ValueError("a Spin needs at least one read")
+        self.reads = reads
+        #: ``len(reads)``, read on every engine re-issue.
+        self.n = len(reads)
+        self.limit = limit
+        self.rounds = 0
+        self.at = 0
+        #: engine-private ``(transactions, issue-to-completion cycles)``
+        #: per read, computed when the spin starts.
+        self.cost: Optional[tuple] = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Spin(n={self.n}, limit={self.limit})"
 
 
 class Abort(Op):
