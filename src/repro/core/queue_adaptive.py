@@ -8,6 +8,19 @@ retry-free core — Front/Rear still advance by single never-failing
 fetch-adds, lanes still park on private slots, and no queue operation is
 ever retried.
 
+Neither variant carries its own copy of Listings 1-3: both run
+:class:`~repro.core.queue_rfan.RetryFreeQueue`'s ``acquire`` and
+``publish`` and add only what is theirs through its hooks.  GROW is a
+slot map — it overrides ``_slots`` (translation through the
+wavefront's cached segment map), ``_poll_plan`` and ``_map_arrived``
+(the segment-map poll for watched slots in unlinked segments),
+``_map_batch`` (linking the segments a publish spans) and
+``_after_delivery`` (recycling drained segments).  SPILL keeps RF/AN's
+circular storage and wraps the protocol: its ``publish`` dead-drops
+before any Rear claim, its ``acquire`` runs the drain pump first, and
+the pump re-injects through RF/AN's own ``_claim_rear``,
+``_check_targets`` and ``_store_batch``.
+
 :class:`GrowQueue` (variant ``GROW``)
     A segment-chained buffer in the style of segment-recycling bounded
     queues (Aksenov et al., "Memory Bounds for Concurrent Bounded
@@ -50,7 +63,7 @@ hand-off and spill/re-inject legality (see ``repro.verify.oracle``).
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Tuple
+from typing import Generator, Iterable, List, Tuple
 
 import numpy as np
 
@@ -60,22 +73,14 @@ from repro.simt import (
     AtomicRMW,
     GlobalMemory,
     KernelContext,
-    LocalOp,
     MemRead,
     MemWrite,
     Op,
 )
 from repro.simt.engine import transactions_for
-from repro.simt.lanes import segmented_rank
 
 from .constants import DNA, FRONT, REAR
-from .queue_api import (
-    K_ARRIVAL_CHECKS,
-    K_DEQ_TOKENS,
-    K_ENQ_TOKENS,
-    K_PROXY_ATOMICS,
-    QueueFull,
-)
+from .queue_api import K_ENQ_TOKENS, QueueFull
 from .queue_rfan import RetryFreeQueue
 from .state import WavefrontQueueState
 
@@ -169,9 +174,7 @@ class GrowQueue(RetryFreeQueue):
     # host side
     # ------------------------------------------------------------------
     def allocate(self, memory: GlobalMemory) -> None:
-        memory.alloc(self.buf_data, self.capacity, fill=DNA)
-        memory.mark_hot(self.buf_data)
-        memory.alloc(self.buf_ctrl, 2, fill=0)
+        super().allocate(memory)
         memory.alloc(self.buf_segmap, self.max_segments, fill=-1)
         memory.mark_hot(self.buf_segmap)
         memory.alloc(self.buf_segstate, self.pool_segments, fill=0)
@@ -313,14 +316,11 @@ class GrowQueue(RetryFreeQueue):
         )
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _link_segments(
-        self,
-        ctx: KernelContext,
-        segcache: np.ndarray,
-        first_seg: int,
-        last_seg: int,
+    def _map_batch(
+        self, ctx: KernelContext, base: int, n: int
     ) -> Generator[Op, Op, None]:
-        """Ensure logical segments ``first..last`` are mapped.
+        """Growth: map every logical segment raw indices ``base ..
+        base+n-1`` span, right after the publish's Rear claim.
 
         The link itself is one CAS that is *never retried*: on a loss
         the winner's mapping rides back on the CAS result (``op.old``)
@@ -329,6 +329,9 @@ class GrowQueue(RetryFreeQueue):
         """
         custom = ctx.stats.custom
         probe = ctx.probe
+        segcache = self._segcache(ctx.wf_id)
+        first_seg = base // self.seg_cap
+        last_seg = (base + n - 1) // self.seg_cap
         if last_seg >= self.max_segments:
             yield Abort(
                 f"queue full: queue {self.prefix!r} segment map exhausted "
@@ -376,141 +379,22 @@ class GrowQueue(RetryFreeQueue):
         return segcache[seg] * self.seg_cap + off
 
     # ------------------------------------------------------------------
-    # kernel side: the RF/AN protocol over segmented storage
+    # kernel side: the RF/AN slot-map hooks over segmented storage
     # ------------------------------------------------------------------
-    def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState, spun: int = 0
-    ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
-        probe = ctx.probe
-        if probe is not None:
-            probe.queue_register(self.prefix, self.capacity, self.variant)
+    def _slots(self, ctx: KernelContext, raw: np.ndarray) -> np.ndarray:
+        return self._translate(self._segcache(ctx.wf_id), raw)
 
-        # --- slot reservation: identical to RF/AN ----------------------
-        n_hungry = st.wavefront_size - st.n_token - st.n_watching
-        if n_hungry:
-            yield from self._reserve_hungry(ctx, st, n_hungry)
-
-        if st.n_watching == 0:
-            return
+    def _poll_plan(self, ctx: KernelContext, st: WavefrontQueueState) -> tuple:
+        """Watched slots fall in two classes: *mapped* (their logical
+        segment is linked in this wavefront's cached map — poll the
+        translated physical slot exactly like RF/AN) and *unmapped* (the
+        producer has not linked the segment yet — poll the segment-map
+        words instead; a non-negative value there means the segment just
+        got linked and the plan must be rebuilt).  Both polls are cached
+        prechecked reads: the engine elides the re-sample unless a store
+        (or the link CAS — atomics bump the write epoch too) touched the
+        polled words."""
         segcache = self._segcache(ctx.wf_id)
-
-        # --- data-arrival poll over the segment map --------------------
-        # Watched slots fall in two classes: *mapped* (their logical
-        # segment is linked in this wavefront's cached map — poll the
-        # translated physical slot exactly like RF/AN) and *unmapped*
-        # (the producer has not linked the segment yet — poll the
-        # segment-map words instead; a non-negative value there means
-        # the segment just got linked and the poll set must be rebuilt).
-        # Both polls are cached prechecked reads: the engine elides the
-        # re-sample unless a store (or the link CAS — atomics bump the
-        # write epoch too) touched the polled words.
-        while True:
-            cache = st.cache
-            if cache is None:
-                cache = self._build_poll_cache(st, segcache)
-                st.cache = cache
-            lanes, phys, read, n_mapped, seg_read, seg_idx = cache
-            progressed = False
-            if seg_read is not None:
-                if spun:
-                    spun -= 1
-                else:
-                    yield seg_read
-                if seg_read.fresh:
-                    linked = seg_read.result >= 0
-                    if linked.any():
-                        segcache[seg_idx[linked]] = seg_read.result[linked]
-                        st.cache = None
-                        progressed = True
-            if progressed:
-                continue
-            if n_mapped == 0:
-                # nothing watchable is mapped yet (or all watched slots
-                # are beyond the logical bound during wind-down).
-                return
-            if probe is not None:
-                probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
-            if not spun:
-                yield read
-            custom[K_ARRIVAL_CHECKS] += n_mapped
-            if not read.fresh:
-                if probe is not None:
-                    probe.queue_instant(
-                        self.prefix, "empty_poll", probe.now, n_mapped
-                    )
-                return
-            res = read.result
-            if int(res.max()) == DNA:
-                if probe is not None:
-                    probe.queue_instant(
-                        self.prefix, "empty_poll", probe.now, n_mapped
-                    )
-                return
-            arrived = res != DNA
-            got_lanes = lanes[arrived]
-            tokens = res[arrived]
-            raw_got = st.slot[got_lanes]
-            if probe is not None:
-                probe.queue_grant(self.prefix, raw_got, probe.now)
-                probe.queue_deliver(self.prefix, raw_got, tokens)
-            yield MemWrite(self.buf_data, phys[arrived], DNA)
-            st.unwatch(got_lanes)
-            st.grant(got_lanes, tokens)
-            custom[K_DEQ_TOKENS] += int(got_lanes.size)
-            yield from self._recycle(ctx, segcache, raw_got)
-            return
-
-    def idle_polls(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Optional[Tuple[Tuple[MemRead, ...], Optional[int]]]:
-        """The cached ``(seg_read, read)`` pair, either one absent when it
-        has nothing to poll."""
-        cache = st.cache
-        if cache is None:
-            return None
-        _lanes, _phys, read, n_mapped, seg_read, _seg_idx = cache
-        polls = () if seg_read is None else (seg_read,)
-        if n_mapped:
-            polls += (read,)
-        return polls, None
-
-    def account_polls(
-        self, ctx: KernelContext, st: WavefrontQueueState, rounds: int
-    ) -> None:
-        ctx.stats.custom[K_ARRIVAL_CHECKS] += rounds * st.cache[3]
-
-    def _reserve_hungry(
-        self, ctx: KernelContext, st: WavefrontQueueState, n_hungry: int
-    ) -> Generator[Op, Op, None]:
-        """Listing 1 verbatim (shared with RF/AN): one AFA on Front."""
-        from repro.simt.lanes import rank_within
-
-        from .queue_api import K_DEQ_REQUESTS
-
-        custom = ctx.stats.custom
-        probe = ctx.probe
-        hungry = st.hungry_mask()
-        custom[K_DEQ_REQUESTS] += n_hungry
-        if probe is not None:
-            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-        ranks, total = rank_within(hungry)
-        yield LocalOp(ctx.device.lds_op_cycles)
-        op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total)
-        yield op
-        custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        lanes = np.flatnonzero(hungry)
-        st.watch(lanes, base + ranks[lanes])
-        if probe is not None:
-            probe.queue_counter(self.prefix, "front", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "acquire", total)
-            probe.queue_reserve(self.prefix, "acquire", base, total)
-            probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
-
-    def _build_poll_cache(
-        self, st: WavefrontQueueState, segcache: np.ndarray
-    ) -> tuple:
         watching = st.slot >= 0
         raw = st.slot[watching]
         inb = self._in_bounds(raw)
@@ -519,14 +403,8 @@ class GrowQueue(RetryFreeQueue):
         segs = raw // self.seg_cap
         mapped = segcache[segs] >= 0
         lanes = all_lanes[mapped]
-        phys = np.asarray(
-            self._translate(segcache, raw[mapped]), dtype=np.int64
-        )
-        phys.setflags(write=False)
-        trans = transactions_for(phys) if phys.size else 0
-        read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
+        phys, read = self._slot_poll(self._translate(segcache, raw[mapped]))
         seg_read = None
-        seg_idx = None
         if (~mapped).any():
             seg_idx = np.unique(segs[~mapped])
             seg_idx.setflags(write=False)
@@ -536,10 +414,32 @@ class GrowQueue(RetryFreeQueue):
                 trans=transactions_for(seg_idx),
                 prechecked=True,
             )
-        return (lanes, phys, read, int(lanes.size), seg_read, seg_idx)
+        return lanes, phys, read, int(lanes.size), seg_read
 
-    def _recycle(
-        self, ctx: KernelContext, segcache: np.ndarray, raw_got: np.ndarray
+    def _map_arrived(self, ctx: KernelContext, map_read: MemRead) -> bool:
+        linked = map_read.result >= 0
+        if not linked.any():
+            return False
+        segcache = self._segcache(ctx.wf_id)
+        segcache[map_read.index[linked]] = map_read.result[linked]
+        return True
+
+    def _target_taken(self, raw: np.ndarray, taken: np.ndarray) -> Abort:
+        # a mapped slot below Rear can only be non-sentinel if the
+        # recycle protocol broke: surface it, never overwrite.
+        return Abort(
+            f"grow queue {self.prefix!r}: target slot not "
+            f"data-not-arrived in a freshly mapped segment "
+            f"(recycle protocol violation)",
+            info={
+                "queue": self.prefix,
+                "capacity": self.capacity,
+                "fill": int(raw[taken][0]),
+            },
+        )
+
+    def _after_delivery(
+        self, ctx: KernelContext, raws: np.ndarray
     ) -> Generator[Op, Op, None]:
         """Account deliveries per segment; release fully drained ones.
 
@@ -553,7 +453,7 @@ class GrowQueue(RetryFreeQueue):
         """
         custom = ctx.stats.custom
         probe = ctx.probe
-        segs, counts = np.unique(raw_got // self.seg_cap, return_counts=True)
+        segs, counts = np.unique(raws // self.seg_cap, return_counts=True)
         drain = AtomicRMW(
             self.buf_segdrain, segs, AtomicKind.ADD, counts.astype(np.int64)
         )
@@ -562,7 +462,7 @@ class GrowQueue(RetryFreeQueue):
         if not done.any():
             return
         done_segs = segs[done]
-        phys_segs = segcache[done_segs]
+        phys_segs = self._segcache(ctx.wf_id)[done_segs]
         custom[K_GROW_RELEASES] += int(done_segs.size)
         self._live_segments -= int(done_segs.size)
         if probe is not None:
@@ -573,80 +473,6 @@ class GrowQueue(RetryFreeQueue):
             for s, p in zip(done_segs, phys_segs):
                 probe.queue_segment_release(self.prefix, int(s), int(p))
         yield MemWrite(self.buf_segstate, phys_segs, 0)
-
-    def publish(
-        self,
-        ctx: KernelContext,
-        st: WavefrontQueueState,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
-        counts = np.asarray(counts, dtype=np.int64)
-        has_new = counts > 0
-        if not has_new.any():
-            return
-
-        probe = self._probe(ctx)
-        if probe is not None:
-            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-        ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(dev.lds_op_cycles)
-
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, total)
-        yield op
-        stats.custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "publish", total)
-            probe.queue_reserve(self.prefix, "publish", base, total)
-
-        # --- growth: map every logical segment the batch spans ---------
-        segcache = self._segcache(ctx.wf_id)
-        yield from self._link_segments(
-            ctx, segcache, base // self.seg_cap,
-            (base + total - 1) // self.seg_cap,
-        )
-
-        # --- lock-step copy through the segment map --------------------
-        max_count = int(counts.max())
-        lane_base = base + ranks
-        for t in range(max_count):
-            active = counts > t
-            raw = lane_base[active] + t
-            phys = self._translate(segcache, raw)
-            check = MemRead(self.buf_data, phys)
-            yield check
-            if np.any(check.result != DNA):
-                # a mapped slot below Rear can only be non-sentinel if
-                # the recycle protocol broke: surface it, never overwrite.
-                yield Abort(
-                    f"grow queue {self.prefix!r}: target slot not "
-                    f"data-not-arrived in a freshly mapped segment "
-                    f"(recycle protocol violation)",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        "fill": int(raw[check.result != DNA][0]),
-                    },
-                )
-            vals = tokens[active, t]
-            yield from self._store_batch(ctx, raw, phys, vals)
-        stats.custom[K_ENQ_TOKENS] += int(total)
-
-    def _store_batch(
-        self,
-        ctx: KernelContext,
-        raw: np.ndarray,
-        phys: np.ndarray,
-        vals: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        """One lock-step store sub-iteration (plant hook point)."""
-        if ctx.probe is not None:
-            ctx.probe.queue_store(self.prefix, raw, vals)
-        yield MemWrite(self.buf_data, phys, vals)
 
 
 class SpillQueue(RetryFreeQueue):
@@ -776,7 +602,7 @@ class SpillQueue(RetryFreeQueue):
         has_new = counts > 0
         if not has_new.any():
             return
-        probe = self._probe(ctx)
+        self._probe(ctx)
         total = int(counts.sum())
         fill_rd = self._read_ctrl()
         yield fill_rd
@@ -790,16 +616,6 @@ class SpillQueue(RetryFreeQueue):
             )
             yield from self._spill(ctx, flat)
             return
-        yield from self._publish_ring(ctx, st, counts, tokens)
-
-    def _publish_ring(
-        self,
-        ctx: KernelContext,
-        st: WavefrontQueueState,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        """The unmodified RF/AN circular publish (Listing 3)."""
         yield from super().publish(ctx, st, counts, tokens)
 
     def _spill(
@@ -901,41 +717,19 @@ class SpillQueue(RetryFreeQueue):
     def _reinject(
         self, ctx: KernelContext, toks: np.ndarray
     ) -> Generator[Op, Op, None]:
-        """Re-publish spilled tokens through the ordinary Rear path."""
-        custom = ctx.stats.custom
-        probe = ctx.probe
+        """Re-publish spilled tokens through the ordinary Rear path.
+
+        Fill was at or below ``low_water`` when the pump started, so an
+        occupied target means the ring is undersized for the resident
+        lanes — the same §4.2 abort as bare circular RF/AN."""
         k = int(toks.size)
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, k)
-        yield op
-        custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
+        base = yield from self._claim_rear(ctx, k)
         raw = base + np.arange(k, dtype=np.int64)
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + k)
-            probe.queue_proxy(self.prefix, "publish", k)
-            probe.queue_reserve(self.prefix, "publish", base, k)
-        phys = self._phys(raw)
-        check = MemRead(self.buf_data, phys)
-        yield check
-        if np.any(check.result != DNA):
-            # fill was at or below low_water when we started; a target
-            # can only be occupied if the ring is undersized for the
-            # resident lanes — the same §4.2 abort as bare circular.
-            yield Abort(
-                f"queue full: queue {self.prefix!r} target slot not "
-                f"data-not-arrived during spill re-publication (ring "
-                f"capacity {self.capacity} below resident-lane demand)",
-                info={
-                    "queue": self.prefix,
-                    "capacity": self.capacity,
-                    "fill": self.capacity,
-                },
-            )
-        if probe is not None:
-            probe.queue_reinject(self.prefix, raw, toks)
-            probe.queue_store(self.prefix, raw, toks)
-        yield MemWrite(self.buf_data, phys, toks)
-        custom[K_ENQ_TOKENS] += k
+        phys = yield from self._check_targets(ctx, raw)
+        if ctx.probe is not None:
+            ctx.probe.queue_reinject(self.prefix, raw, toks)
+        yield from self._store_batch(ctx, raw, phys, toks)
+        ctx.stats.custom[K_ENQ_TOKENS] += k
 
     def _retire_entries(
         self, ctx: KernelContext, entries: np.ndarray, new_head: int

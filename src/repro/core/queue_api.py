@@ -1,4 +1,12 @@
-"""Abstract interface shared by the three concurrent-queue variants.
+"""Abstract interface shared by every concurrent-queue variant.
+
+BASE (:mod:`.queue_base_cas`) and AN (:mod:`.queue_an`) implement it
+directly.  RF/AN (:mod:`.queue_rfan`) implements it once for the whole
+retry-free family: GROW and SPILL (:mod:`.queue_adaptive`), SHARDED's
+steal path (:mod:`.queue_sharded`) and the planted bugs of
+:mod:`repro.verify.faults` plug into RF/AN's Listings 1-3 through small
+hooks (slot map, storage steps, fault points — see the RF/AN module
+docstring) rather than carrying their own copies.
 
 A :class:`DeviceQueue` is a *device-resident* data structure: its state
 lives entirely in :class:`~repro.simt.memory.GlobalMemory` buffers
@@ -39,7 +47,9 @@ The contract seen by the persistent-thread scheduler:
     ``k`` polls the engine already issued.  The default is None: no
     spin.  A subclass that overrides ``acquire`` without overriding
     ``idle_polls`` gets the default back, because its idle path may
-    issue other ops.
+    issue other ops.  RF/AN implements the pair once: GROW and the
+    planted bugs inherit it, SHARDED delegates to its home shard, and
+    SPILL, whose ``acquire`` runs its drain pump first, gets the default.
 
 Statistics land in ``ctx.stats.custom`` under ``queue.*`` keys so the
 harness can compute the paper's retry metrics (Figures 1 and 5).

@@ -22,6 +22,30 @@ Enqueue (Listing 3)
 Cost profile per wavefront work cycle: one local aggregation + *at most
 one* global atomic for dequeue and one for enqueue, independent of how
 many entries move — the arbitrary-n property.
+
+Hooks
+    :class:`RetryFreeQueue` is the only code that runs Listings 1-3.  The
+    other retry-free variants plug into it instead of copying it:
+
+    *Slot map* — where a raw index lives.  ``_phys``/``_in_bounds``
+    (flat or circular storage) and ``_slots`` (the device-side view of a
+    wavefront) translate indices; ``_poll_plan`` builds the cached
+    prechecked reads of Listing 2, optionally led by a slot-map read
+    that ``_map_arrived`` folds back in; ``_map_batch`` runs before a
+    publish's stores and ``_after_delivery`` after a grant.  GROW
+    (:mod:`repro.core.queue_adaptive`) uses these to chain and recycle
+    segments; ``_target_taken`` is its own diagnosis of an occupied
+    target slot.
+
+    *Fault points* — ``_claim_count`` (how many slots Listing 1's
+    fetch-add claims; the probes report it), ``_restore`` (Listing 2's
+    sentinel write-back) and ``_store_batch`` (one lock-step store of
+    Listing 3).  The planted bugs of :mod:`repro.verify.faults` each
+    override one of them.
+
+    SPILL's re-injection and SHARDED's steal republish reuse the
+    publish-side pieces directly: ``_claim_rear`` (the Rear fetch-add),
+    ``_check_targets`` (bound and sentinel checks) and ``_store_batch``.
 """
 
 from __future__ import annotations
@@ -82,44 +106,44 @@ class RetryFreeQueue(DeviceQueue):
             # increment, one LDS round (lines 2-9 of Listing 1).
             yield LocalOp(ctx.device.lds_op_cycles)
             # proxy thread reserves `total` slots with one AFA (line 13).
-            op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total)
+            claim = self._claim_count(total)
+            op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, claim)
             yield op
             custom[K_PROXY_ATOMICS] += 1
             base = int(op.old[0])
             lanes = np.flatnonzero(hungry)
             st.watch(lanes, base + ranks[lanes])
             if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, base + total)
-                probe.queue_proxy(self.prefix, "acquire", total)
-                probe.queue_reserve(self.prefix, "acquire", base, total)
+                probe.queue_counter(self.prefix, "front", probe.now, base + claim)
+                probe.queue_proxy(self.prefix, "acquire", claim)
+                probe.queue_reserve(self.prefix, "acquire", base, claim)
                 probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
 
         # --- Listing 2: data-arrival poll for every watching lane ------
         if st.n_watching == 0:
             return
-        # the watch set only changes on reservation/grant, so the lane,
-        # address and transaction arrays — and the poll op itself, whose
-        # result the engine refills at each completion — are cached
+        # the watch set only changes on reservation/grant, so the poll
+        # plan — lanes, addresses and the poll ops themselves, whose
+        # results the engine refills at each completion — is cached
         # between polls: this poll runs every work cycle of every starved
         # wavefront.
-        cache = st.cache
-        if cache is None:
-            watching = st.slot >= 0
-            raw = st.slot[watching]
-            inb = self._in_bounds(raw)
-            lanes = np.flatnonzero(watching)[inb]
-            phys = np.asarray(self._phys(raw[inb]), dtype=np.int64)
-            # frozen: the watch set never changes while this op is cached
-            # (MemRead hot-loop contract), which also lets the engine
-            # reuse its span across re-issues.
-            phys.setflags(write=False)
-            trans = transactions_for(phys) if phys.size else 0
-            read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
-            st.cache = cache = (lanes, phys, read, int(lanes.size))
-        lanes, phys, read, n_lanes = cache
+        while True:
+            cache = st.cache
+            if cache is None:
+                st.cache = cache = self._poll_plan(ctx, st)
+            lanes, phys, read, n_lanes, map_read = cache
+            if map_read is None:
+                break
+            if spun:
+                spun -= 1
+            else:
+                yield map_read
+            if not (map_read.fresh and self._map_arrived(ctx, map_read)):
+                break
+            st.cache = None
         if n_lanes == 0:
-            # all monitored slots are beyond queue bounds; no data will
-            # ever arrive there (kernel is winding down).
+            # no monitored slot is pollable: all lie beyond queue bounds
+            # (the kernel is winding down) or in storage not mapped yet.
             return
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
@@ -145,35 +169,40 @@ class RetryFreeQueue(DeviceQueue):
         arrived = res != DNA
         got_lanes = lanes[arrived]
         tokens = res[arrived]
+        raws = st.slot[got_lanes]
         # pick up the token and put the sentinel back so the slot can be
         # reused when the queue is configured circular (§4.2).  The
         # probe events fire at the restore write's issue, i.e. strictly
         # before any later wrap-around producer can observe the restored
         # sentinel — the ordering the verification oracle relies on.
         if probe is not None:
-            probe.queue_grant(self.prefix, st.slot[got_lanes], probe.now)
-            probe.queue_deliver(self.prefix, st.slot[got_lanes], tokens)
-        yield MemWrite(self.buf_data, phys[arrived], DNA)
+            probe.queue_grant(self.prefix, raws, probe.now)
+            probe.queue_deliver(self.prefix, raws, tokens)
+        yield from self._restore(ctx, phys[arrived])
         st.unwatch(got_lanes)
         st.grant(got_lanes, tokens)
         custom[K_DEQ_TOKENS] += int(got_lanes.size)
+        yield from self._after_delivery(ctx, raws)
 
     def idle_polls(
         self, ctx: KernelContext, st: WavefrontQueueState
     ) -> Optional[Tuple[Tuple[MemRead, ...], Optional[int]]]:
-        """The cached arrival poll.
+        """The cached poll plan's reads.
 
         With every lane parked, an elided poll grants nothing, so the
-        acquire repeats itself until the poll comes back fresh.  A watch
-        set entirely beyond the queue bounds polls nothing at all (an
-        empty tuple).
+        acquire repeats itself until a poll comes back fresh.  The
+        slot-map read (if any) leads; a plan with no pollable slot omits
+        the slot read, so a watch set entirely beyond the queue bounds
+        polls nothing at all (an empty tuple).
         """
         cache = st.cache
         if cache is None:
             return None
-        if cache[3] == 0:
-            return (), None
-        return (cache[2],), None
+        _lanes, _phys, read, n_lanes, map_read = cache
+        polls = () if map_read is None else (map_read,)
+        if n_lanes:
+            polls += (read,)
+        return polls, None
 
     def account_polls(
         self, ctx: KernelContext, st: WavefrontQueueState, rounds: int
@@ -187,8 +216,6 @@ class RetryFreeQueue(DeviceQueue):
         counts: np.ndarray,
         tokens: np.ndarray,
     ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
         counts = np.asarray(counts, dtype=np.int64)
         has_new = counts > 0
         if not has_new.any():
@@ -199,17 +226,11 @@ class RetryFreeQueue(DeviceQueue):
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
         ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(dev.lds_op_cycles)
+        yield LocalOp(ctx.device.lds_op_cycles)
 
         # --- line 15: proxy reserves `total` entries with one AFA ------
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, total)
-        yield op
-        stats.custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "publish", total)
-            probe.queue_reserve(self.prefix, "publish", base, total)
+        base = yield from self._claim_rear(ctx, total)
+        yield from self._map_batch(ctx, base, total)
 
         # --- lines 24-27: lock-step copy, one sub-iteration per token
         # rank within the busiest lane.  Each iteration checks the target
@@ -219,38 +240,142 @@ class RetryFreeQueue(DeviceQueue):
         for t in range(max_count):
             active = counts > t
             raw = lane_base[active] + t
-            oob = ~self._in_bounds(raw)
-            if oob.any():
-                # enqueue must never store out of bounds (§4.3); a
-                # monotonic queue that ran past capacity is full.
-                yield Abort(
-                    f"queue full: queue {self.prefix!r} raw index "
-                    f"{int(raw[oob][0])} beyond capacity {self.capacity} "
-                    f"(fill {int(raw[oob][0])}/{self.capacity})",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        "fill": int(raw[oob][0]),
-                    },
-                )
-            phys = self._phys(raw)
-            check = MemRead(self.buf_data, phys)
-            yield check
-            if np.any(check.result != DNA):
-                yield Abort(
-                    f"queue full: queue {self.prefix!r} target slot not "
-                    f"data-not-arrived (Listing 3 line 25; ring fill "
-                    f"{self.capacity}/{self.capacity})",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        # the overwritten slot still holds live data, so
-                        # the physical ring is at capacity.
-                        "fill": self.capacity,
-                    },
-                )
-            vals = tokens[active, t]
-            if probe is not None:
-                probe.queue_store(self.prefix, raw, vals)
-            yield MemWrite(self.buf_data, phys, vals)
-        stats.custom[K_ENQ_TOKENS] += int(total)
+            phys = yield from self._check_targets(ctx, raw)
+            yield from self._store_batch(ctx, raw, phys, tokens[active, t])
+        ctx.stats.custom[K_ENQ_TOKENS] += int(total)
+
+    # ------------------------------------------------------------------
+    # the publish-side protocol pieces (also run by SPILL's re-injection
+    # and SHARDED's steal republish)
+    # ------------------------------------------------------------------
+    def _claim_rear(
+        self, ctx: KernelContext, n: int
+    ) -> Generator[Op, Op, int]:
+        """Listing 3 line 15: reserve ``n`` entries with one fetch-add on
+        ``Rear``; returns the first reserved raw index."""
+        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, n)
+        yield op
+        ctx.stats.custom[K_PROXY_ATOMICS] += 1
+        base = int(op.old[0])
+        probe = ctx.probe
+        if probe is not None:
+            probe.queue_counter(self.prefix, "rear", probe.now, base + n)
+            probe.queue_proxy(self.prefix, "publish", n)
+            probe.queue_reserve(self.prefix, "publish", base, n)
+        return base
+
+    def _check_targets(
+        self, ctx: KernelContext, raw: np.ndarray
+    ) -> Generator[Op, Op, np.ndarray]:
+        """Listing 3 lines 24-25: abort unless every reserved target is
+        in bounds and still holds the sentinel; returns the physical
+        slots."""
+        oob = ~self._in_bounds(raw)
+        if oob.any():
+            # enqueue must never store out of bounds (§4.3); a
+            # monotonic queue that ran past capacity is full.
+            yield Abort(
+                f"queue full: queue {self.prefix!r} raw index "
+                f"{int(raw[oob][0])} beyond capacity {self.capacity} "
+                f"(fill {int(raw[oob][0])}/{self.capacity})",
+                info={
+                    "queue": self.prefix,
+                    "capacity": self.capacity,
+                    "fill": int(raw[oob][0]),
+                },
+            )
+        phys = self._slots(ctx, raw)
+        check = MemRead(self.buf_data, phys)
+        yield check
+        taken = check.result != DNA
+        if np.any(taken):
+            yield self._target_taken(raw, taken)
+        return phys
+
+    def _target_taken(self, raw: np.ndarray, taken: np.ndarray) -> Abort:
+        """The abort for reserved targets that still hold data."""
+        return Abort(
+            f"queue full: queue {self.prefix!r} target slot not "
+            f"data-not-arrived (Listing 3 line 25; ring fill "
+            f"{self.capacity}/{self.capacity})",
+            info={
+                "queue": self.prefix,
+                "capacity": self.capacity,
+                # the overwritten slot still holds live data, so the
+                # physical ring is at capacity.
+                "fill": self.capacity,
+            },
+        )
+
+    # ------------------------------------------------------------------
+    # slot-map hooks (flat and circular storage; GROW segments them)
+    # ------------------------------------------------------------------
+    def _slots(self, ctx: KernelContext, raw: np.ndarray) -> np.ndarray:
+        """Physical slots of ``raw`` as wavefront ``ctx.wf_id`` sees them."""
+        return self._phys(raw)
+
+    def _poll_plan(self, ctx: KernelContext, st: WavefrontQueueState) -> tuple:
+        """Listing 2's cached poll of the watch set: ``(lanes, phys,
+        read, n_lanes, map_read)`` — the pollable lanes, their physical
+        slots, one prechecked read of those slots, its lane count, and a
+        slot-map read to issue first (None: the map is static)."""
+        watching = st.slot >= 0
+        raw = st.slot[watching]
+        inb = self._in_bounds(raw)
+        lanes = np.flatnonzero(watching)[inb]
+        phys, read = self._slot_poll(self._phys(raw[inb]))
+        return lanes, phys, read, int(lanes.size), None
+
+    def _slot_poll(self, phys) -> Tuple[np.ndarray, MemRead]:
+        """A prechecked read of ``phys``, frozen: the watch set never
+        changes while the read is cached (MemRead hot-loop contract),
+        which also lets the engine reuse its span across re-issues."""
+        phys = np.asarray(phys, dtype=np.int64)
+        phys.setflags(write=False)
+        trans = transactions_for(phys) if phys.size else 0
+        return phys, MemRead(self.buf_data, phys, trans=trans, prechecked=True)
+
+    def _map_arrived(self, ctx: KernelContext, map_read: MemRead) -> bool:
+        """Fold a fresh slot-map poll into the wavefront's view; True when
+        the poll plan must be rebuilt."""
+        return False
+
+    def _map_batch(
+        self, ctx: KernelContext, base: int, n: int
+    ) -> Generator[Op, Op, None]:
+        """Make raw indices ``base .. base+n-1`` storable (runs after the
+        Rear claim, before the stores)."""
+        return
+        yield  # pragma: no cover - keeps this a generator
+
+    def _after_delivery(
+        self, ctx: KernelContext, raws: np.ndarray
+    ) -> Generator[Op, Op, None]:
+        """Runs after the slots ``raws`` were granted and restored."""
+        return
+        yield  # pragma: no cover - keeps this a generator
+
+    # ------------------------------------------------------------------
+    # fault points (see repro.verify.faults)
+    # ------------------------------------------------------------------
+    def _claim_count(self, total: int) -> int:
+        """Slots Listing 1's fetch-add claims for ``total`` hungry lanes."""
+        return total
+
+    def _restore(
+        self, ctx: KernelContext, phys: np.ndarray
+    ) -> Generator[Op, Op, None]:
+        """Listing 2's write-back: put ``dna`` back into consumed slots."""
+        yield MemWrite(self.buf_data, phys, DNA)
+
+    def _store_batch(
+        self,
+        ctx: KernelContext,
+        raw: np.ndarray,
+        phys: np.ndarray,
+        vals: np.ndarray,
+    ) -> Generator[Op, Op, None]:
+        """One lock-step store sub-iteration of Listing 3."""
+        if ctx.probe is not None:
+            ctx.probe.queue_store(self.prefix, raw, vals)
+        yield MemWrite(self.buf_data, phys, vals)

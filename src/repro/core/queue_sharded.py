@@ -63,17 +63,15 @@ from typing import Dict, Generator, Iterable, List, Optional, Tuple, Type
 import numpy as np
 
 from repro.simt import (
-    Abort,
     AtomicKind,
     AtomicRMW,
     GlobalMemory,
     KernelContext,
     MemRead,
-    MemWrite,
     Op,
 )
 
-from .constants import DNA, FRONT, REAR
+from .constants import DNA, FRONT
 from .queue_api import (
     DeviceQueue,
     K_ARRIVAL_CHECKS,
@@ -432,33 +430,26 @@ class ShardedQueue(DeviceQueue):
     def _republish(
         self,
         ctx: KernelContext,
-        h: DeviceQueue,
-        v: DeviceQueue,
+        h: RetryFreeQueue,
+        v: RetryFreeQueue,
         src_raw: np.ndarray,
         src_phys: np.ndarray,
         tokens: np.ndarray,
     ) -> Generator[Op, Op, None]:
         """Move ``tokens`` (already claimed and read from victim ``v``)
-        into fresh slots of home shard ``h``: AFA-reserve at the home
-        Rear, restore ``dna`` at the victim, then store the batch via
-        the inner queue's sentinel-checked publish-side path.
+        into fresh slots of home shard ``h``: the home's Rear claim,
+        ``dna`` restored at the victim, then the home's sentinel-checked
+        store.
 
         Split out so the planted-bug fixtures of ``repro.verify.faults``
         can sabotage exactly this window."""
-        custom = ctx.stats.custom
         probe = ctx.probe
         m = int(tokens.size)
-
-        op = AtomicRMW(h.buf_ctrl, REAR, AtomicKind.ADD, m)
-        yield op
-        custom[K_PROXY_ATOMICS] += 1
-        hbase = int(op.old[0])
-        dst_raw = np.arange(hbase, hbase + m, dtype=np.int64)
         if probe is not None:
             h._probe(ctx)
-            probe.queue_counter(h.prefix, "rear", probe.now, hbase + m)
-            probe.queue_proxy(h.prefix, "publish", m)
-            probe.queue_reserve(h.prefix, "publish", hbase, m)
+        hbase = yield from h._claim_rear(ctx, m)
+        dst_raw = np.arange(hbase, hbase + m, dtype=np.int64)
+        if probe is not None:
             # announce the transfer before the victim-side delivery so
             # the multi-queue oracle can classify the delivery as a
             # transfer rather than a lane consumption.
@@ -468,44 +459,14 @@ class ShardedQueue(DeviceQueue):
         # restore the sentinel at the victim (the consuming side of the
         # transfer — same ordering contract as the RF/AN dequeue: the
         # grant/deliver probes fire at this write's issue).
-        yield MemWrite(v.buf_data, src_phys, DNA)
-
-        # store at home with the inner queue's full-queue checks.
-        oob = ~h._in_bounds(dst_raw)
-        if oob.any():
-            yield Abort(
-                f"queue full: steal republish raw index "
-                f"{int(dst_raw[oob][0])} beyond capacity {h.capacity} "
-                f"on shard {home} ({h.prefix!r}, fill "
-                f"{int(dst_raw[oob][0])}/{h.capacity})",
-                info={
-                    "queue": h.prefix,
-                    "capacity": h.capacity,
-                    "fill": int(dst_raw[oob][0]),
-                    "shard": home,
-                },
-            )
-        dst_phys = np.asarray(h._phys(dst_raw), dtype=np.int64)
-        check = MemRead(h.buf_data, dst_phys)
-        yield check
-        if np.any(check.result != DNA):
-            yield Abort(
-                "queue full: steal republish target slot not "
-                f"data-not-arrived on shard {home} ({h.prefix!r}, ring "
-                f"fill {h.capacity}/{h.capacity})",
-                info={
-                    "queue": h.prefix,
-                    "capacity": h.capacity,
-                    "fill": h.capacity,
-                    "shard": home,
-                },
-            )
+        yield from v._restore(ctx, src_phys)
+        dst_phys = yield from h._check_targets(ctx, dst_raw)
         yield from self._store_batch(ctx, h, dst_raw, dst_phys, tokens)
 
     def _store_batch(
         self,
         ctx: KernelContext,
-        h: DeviceQueue,
+        h: RetryFreeQueue,
         dst_raw: np.ndarray,
         dst_phys: np.ndarray,
         tokens: np.ndarray,
@@ -513,7 +474,4 @@ class ShardedQueue(DeviceQueue):
         """Land a transferred batch in its reserved home slots (the final
         store step of :meth:`_republish`; a separate method so fault
         fixtures can drop individual stores)."""
-        probe = ctx.probe
-        if probe is not None:
-            probe.queue_store(h.prefix, dst_raw, tokens)
-        yield MemWrite(h.buf_data, dst_phys, tokens)
+        yield from h._store_batch(ctx, dst_raw, dst_phys, tokens)

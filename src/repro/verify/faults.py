@@ -10,6 +10,12 @@ the planted queues stays *honest*: it reports what the sabotaged code
 really does, never what correct code would have done — the oracle must
 catch the bug from the observed history, not from a confession.
 
+Every plant except BASE's overrides only *fault points*
+(:data:`FAULT_POINTS`): named steps of the shared retry-free protocol
+such as Listing 1's claimed count or one store of Listing 3.  The rest
+is inherited, so the sabotaged queue runs the same code as the real one
+except for the one broken step.
+
 =====================  ==========  ===========================================
 plant                  variant     bug / expected detection
 =====================  ==========  ===========================================
@@ -73,15 +79,8 @@ from typing import Generator
 
 import numpy as np
 
-from repro.core.constants import DNA, FRONT, REAR
-from repro.core.queue_api import (
-    K_ARRIVAL_CHECKS,
-    K_CAS_ROUNDS,
-    K_DEQ_REQUESTS,
-    K_DEQ_TOKENS,
-    K_ENQ_TOKENS,
-    K_PROXY_ATOMICS,
-)
+from repro.core.constants import REAR
+from repro.core.queue_api import K_CAS_ROUNDS, K_ENQ_TOKENS
 from repro.core.queue_adaptive import GrowQueue, SpillQueue
 from repro.core.queue_base_cas import BaseCasQueue
 from repro.core.queue_rfan import RetryFreeQueue
@@ -91,140 +90,50 @@ from repro.simt import (
     AtomicKind,
     AtomicRMW,
     KernelContext,
-    LocalOp,
     MemRead,
     MemWrite,
     Op,
 )
-from repro.simt.engine import transactions_for
-from repro.simt.lanes import rank_within, segmented_rank
+from repro.simt.lanes import rank_within
 from repro.core.state import WavefrontQueueState
+
+#: the methods a plant on the retry-free family may override: each is a
+#: named step of the shared protocol, so a plant changes one step and
+#: inherits everything else.  ``_claim_count``, ``_restore`` and
+#: ``_store_batch`` are RF/AN's (Listing 1's claimed count, Listing 2's
+#: sentinel write-back, one store of Listing 3 — GROW inherits them);
+#: ``_republish`` and ``_store_batch`` are SHARDED's steal transfer;
+#: ``_gate_ok`` and ``_retire_entries`` are SPILL's drain pump.
+FAULT_POINTS = frozenset({
+    "_claim_count", "_restore", "_store_batch", "_republish",
+    "_gate_ok", "_retire_entries",
+})
+
+
+def _drop(i: int, *arrays: np.ndarray) -> tuple:
+    """``arrays`` without their element ``i`` (a lost lane's store)."""
+    keep = np.ones(np.size(arrays[0]), dtype=bool)
+    keep[i] = False
+    return tuple(np.asarray(a)[keep] for a in arrays)
 
 
 class SkipDnaRestoreQueue(RetryFreeQueue):
     """RF/AN whose consumers never restore the ``dna`` sentinel."""
 
-    def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
-        probe = self._probe(ctx)
-        n_hungry = st.n_hungry
-        if n_hungry:
-            hungry = st.hungry_mask()
-            custom[K_DEQ_REQUESTS] += n_hungry
-            ranks, total = rank_within(hungry)
-            yield LocalOp(ctx.device.lds_op_cycles)
-            op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total)
-            yield op
-            custom[K_PROXY_ATOMICS] += 1
-            base = int(op.old[0])
-            lanes = np.flatnonzero(hungry)
-            st.watch(lanes, base + ranks[lanes])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, base + total)
-                probe.queue_proxy(self.prefix, "acquire", total)
-                probe.queue_reserve(self.prefix, "acquire", base, total)
-                probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
-
-        if st.n_watching == 0:
-            return
-        if st.cache is None:
-            watching = st.slot >= 0
-            raw = st.slot[watching]
-            inb = self._in_bounds(raw)
-            lanes = np.flatnonzero(watching)[inb]
-            phys = np.asarray(self._phys(raw[inb]), dtype=np.int64)
-            trans = transactions_for(phys) if phys.size else 0
-            read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
-            st.cache = (lanes, phys, read)
-        lanes, phys, read = st.cache
-        if lanes.size == 0:
-            return
-        yield read
-        custom[K_ARRIVAL_CHECKS] += int(lanes.size)
-        res = read.result
-        if int(res.max()) == DNA:
-            return
-        arrived = res != DNA
-        got_lanes = lanes[arrived]
-        tokens = res[arrived]
+    def _restore(self, ctx, phys):
         # BUG: the sentinel write-back (Listing 2's `slot = dna`) is
         # missing — the token is taken but the slot still looks full.
-        if probe is not None:
-            probe.queue_grant(self.prefix, st.slot[got_lanes], probe.now)
-            probe.queue_deliver(self.prefix, st.slot[got_lanes], tokens)
-        st.unwatch(got_lanes)
-        st.grant(got_lanes, tokens)
-        custom[K_DEQ_TOKENS] += int(got_lanes.size)
+        return
+        yield  # pragma: no cover - keeps this a generator
 
 
 class OverReserveQueue(RetryFreeQueue):
     """RF/AN whose proxy reserves one slot more than it needs."""
 
-    def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
-        probe = self._probe(ctx)
-        n_hungry = st.n_hungry
-        if n_hungry:
-            hungry = st.hungry_mask()
-            custom[K_DEQ_REQUESTS] += n_hungry
-            ranks, total = rank_within(hungry)
-            yield LocalOp(ctx.device.lds_op_cycles)
-            # BUG: off-by-one in the aggregated count — the proxy claims
-            # total + 1 slots but only `total` lanes park on them.
-            op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total + 1)
-            yield op
-            custom[K_PROXY_ATOMICS] += 1
-            base = int(op.old[0])
-            lanes = np.flatnonzero(hungry)
-            st.watch(lanes, base + ranks[lanes])
-            if probe is not None:
-                probe.queue_counter(
-                    self.prefix, "front", probe.now, base + total + 1
-                )
-                probe.queue_proxy(self.prefix, "acquire", total + 1)
-                probe.queue_reserve(self.prefix, "acquire", base, total + 1)
-                probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
-        # hand-off unchanged
-        yield from self._poll_arrivals(ctx, st)
-
-    def _poll_arrivals(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
-        probe = self._probe(ctx)
-        if st.n_watching == 0:
-            return
-        if st.cache is None:
-            watching = st.slot >= 0
-            raw = st.slot[watching]
-            inb = self._in_bounds(raw)
-            lanes = np.flatnonzero(watching)[inb]
-            phys = np.asarray(self._phys(raw[inb]), dtype=np.int64)
-            trans = transactions_for(phys) if phys.size else 0
-            read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
-            st.cache = (lanes, phys, read)
-        lanes, phys, read = st.cache
-        if lanes.size == 0:
-            return
-        yield read
-        custom[K_ARRIVAL_CHECKS] += int(lanes.size)
-        res = read.result
-        if int(res.max()) == DNA:
-            return
-        arrived = res != DNA
-        got_lanes = lanes[arrived]
-        tokens = res[arrived]
-        if probe is not None:
-            probe.queue_grant(self.prefix, st.slot[got_lanes], probe.now)
-            probe.queue_deliver(self.prefix, st.slot[got_lanes], tokens)
-        yield MemWrite(self.buf_data, phys[arrived], DNA)
-        st.unwatch(got_lanes)
-        st.grant(got_lanes, tokens)
-        custom[K_DEQ_TOKENS] += int(got_lanes.size)
+    def _claim_count(self, total):
+        # BUG: off-by-one in the aggregated count — the proxy claims
+        # total + 1 slots but only `total` lanes park on them.
+        return total + 1
 
 
 class LostStoreQueue(RetryFreeQueue):
@@ -234,63 +143,16 @@ class LostStoreQueue(RetryFreeQueue):
         super().__init__(*args, **kwargs)
         self._dropped = False
 
-    def publish(
-        self,
-        ctx: KernelContext,
-        st: WavefrontQueueState,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
-        counts = np.asarray(counts, dtype=np.int64)
-        has_new = counts > 0
-        if not has_new.any():
-            return
-        ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(dev.lds_op_cycles)
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, total)
-        yield op
-        stats.custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        probe = self._probe(ctx)
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "publish", total)
-            probe.queue_reserve(self.prefix, "publish", base, total)
-
-        max_count = int(counts.max())
-        lane_base = base + ranks
-        for t in range(max_count):
-            active = counts > t
-            raw = lane_base[active] + t
-            oob = ~self._in_bounds(raw)
-            if oob.any():
-                yield Abort(
-                    f"queue full: raw index {int(raw[oob][0])} beyond "
-                    f"capacity {self.capacity}"
-                )
-            phys = self._phys(raw)
-            check = MemRead(self.buf_data, phys)
-            yield check
-            if np.any(check.result != DNA):
-                yield Abort(
-                    "queue full: target slot not data-not-arrived "
-                    "(Listing 3 line 25)"
-                )
-            vals = tokens[active, t]
-            keep = np.ones(raw.size, dtype=bool)
-            if not self._dropped:
-                # BUG: the first store of the launch never reaches
-                # memory (a masked-out lane, a lost write, a bad
-                # predicate) — the reservation stays forever empty.
-                self._dropped = True
-                keep[-1] = False
-            if keep.any():
-                if probe is not None:
-                    probe.queue_store(self.prefix, raw[keep], vals[keep])
-                yield MemWrite(self.buf_data, np.asarray(phys)[keep], vals[keep])
-        stats.custom[K_ENQ_TOKENS] += int(total)
+    def _store_batch(self, ctx, raw, phys, vals):
+        if not self._dropped:
+            # BUG: the first store of the launch never reaches memory (a
+            # masked-out lane, a lost write, a bad predicate) — the
+            # reservation stays forever empty.
+            self._dropped = True
+            raw, phys, vals = _drop(-1, raw, phys, vals)
+            if not raw.size:
+                return
+        yield from super()._store_batch(ctx, raw, phys, vals)
 
 
 class ValidBeforeDataQueue(BaseCasQueue):
@@ -417,13 +279,9 @@ class StealLostTaskQueue(ShardedQueue):
     def _store_batch(self, ctx, h, dst_raw, dst_phys, tokens):
         if not self._dropped and tokens.size:
             self._dropped = True
-            keep = np.ones(tokens.size, dtype=bool)
-            keep[-1] = False
-            if keep.any():
-                yield from super()._store_batch(
-                    ctx, h, dst_raw[keep], dst_phys[keep], tokens[keep]
-                )
-            return
+            dst_raw, dst_phys, tokens = _drop(-1, dst_raw, dst_phys, tokens)
+            if not tokens.size:
+                return
         yield from super()._store_batch(ctx, h, dst_raw, dst_phys, tokens)
 
 
@@ -443,18 +301,14 @@ class GrowLinkLostTaskQueue(GrowQueue):
 
     def _store_batch(self, ctx, raw, phys, vals):
         if not self._dropped:
-            beyond = raw // self.seg_cap >= 1
-            if beyond.any():
+            beyond = np.flatnonzero(raw // self.seg_cap >= 1)
+            if beyond.size:
                 # BUG: the first store into a device-linked segment
                 # (segment 0 is host-mapped) never reaches memory.
                 self._dropped = True
-                keep = np.ones(raw.size, dtype=bool)
-                keep[int(np.flatnonzero(beyond)[0])] = False
-                if keep.any():
-                    yield from super()._store_batch(
-                        ctx, raw[keep], phys[keep], vals[keep]
-                    )
-                return
+                raw, phys, vals = _drop(int(beyond[0]), raw, phys, vals)
+                if not raw.size:
+                    return
         yield from super()._store_batch(ctx, raw, phys, vals)
 
 

@@ -24,7 +24,7 @@ from repro.core import (
     WavefrontQueueState,
     make_queue,
 )
-from repro.simt import Compute, Engine, KernelAbort
+from repro.simt import Compute, Engine, KernelAbort, QueueFullError
 
 ALL_VARIANTS = sorted(QUEUE_VARIANTS)
 
@@ -163,6 +163,28 @@ class TestQueueFull:
 
         with pytest.raises(KernelAbort, match="full"):
             eng.launch(kernel, 1)
+
+    def test_steal_republish_past_home_capacity_aborts(self, testgpu):
+        """A thief whose home shard is full aborts with queue-full at the
+        republish, naming the home shard."""
+        from repro.core import ShardedQueue
+
+        eng = Engine(testgpu)
+        q = ShardedQueue(4, n_shards=2, steal_quantum=4, spin_threshold=0)
+        q.allocate(eng.memory)
+        q.seed(eng.memory, range(8))  # both shards at Rear == capacity
+
+        def kernel(ctx):
+            st = WavefrontQueueState(ctx.device.wavefront_size)
+            # 1st: home grants its 4 tokens, the other lanes park beyond
+            # capacity; 2nd: nothing arrives, so the wavefront steals
+            # the victim's 4 tokens and republishes them at home.
+            for _ in range(2):
+                yield from q.acquire(ctx, st)
+
+        with pytest.raises(QueueFullError, match="beyond capacity") as exc:
+            eng.launch(kernel, 1)
+        assert exc.value.info()["queue"] == "wq.s0"
 
     def test_spill_absorbs_overflow_instead_of_aborting(self, testgpu):
         eng = Engine(testgpu)

@@ -13,6 +13,7 @@ from repro.bfs import run_persistent_bfs
 from repro.bfs.common import BUF_COSTS, alloc_graph_buffers
 from repro.core import (
     DNA,
+    GrowQueue,
     QueueFull,
     SchedulerControl,
     WavefrontQueueState,
@@ -28,6 +29,7 @@ from repro.simt import (
     MemoryFault,
     SimulationTimeout,
 )
+from repro.verify.faults import FAULT_POINTS, PLANTS
 
 from test_core_scheduler import CountdownWorker
 
@@ -278,3 +280,26 @@ class TestOracleCatchesInjectedQueueFaults:
         out = run_scenario(sc)
         assert not out.ok
         assert out.invariant in PLANTS["valid-before-data"]["invariants"]
+
+
+class TestPlantsOverrideOnlyFaultPoints:
+    """A plant sabotages one named step of the shared protocol and
+    inherits everything else, so the code under test is the code that
+    ships: no plant may carry its own copy of ``acquire``/``publish``."""
+
+    @pytest.mark.parametrize(
+        "plant",
+        sorted(p for p, spec in PLANTS.items() if spec["variant"] != "BASE"),
+    )
+    def test_plant_overrides_only_fault_points(self, plant):
+        # dunders (``__init__`` included) and ABCMeta's cache aside
+        own = {
+            name for name in vars(PLANTS[plant]["cls"])
+            if not name.startswith("__")
+        } - {"_abc_impl"}
+        assert not own & {"acquire", "publish"}
+        assert own <= FAULT_POINTS, sorted(own - FAULT_POINTS)
+
+    def test_grow_reuses_the_rfan_protocol(self):
+        assert "acquire" not in vars(GrowQueue)
+        assert "publish" not in vars(GrowQueue)

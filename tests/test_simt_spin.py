@@ -23,7 +23,7 @@ from repro.core import (
     persistent_kernel,
     sharded_persistent_kernel,
 )
-from repro.core.queue_adaptive import GrowQueue
+from repro.core.queue_adaptive import GrowQueue, SpillQueue
 from repro.core.queue_api import DeviceQueue
 from repro.core.queue_rfan import RetryFreeQueue
 from repro.core.scheduler import K_WORK_CYCLES
@@ -266,9 +266,12 @@ class TestSchedulerSpin:
                 return None
 
         assert Custom.idle_polls is DeviceQueue.idle_polls
-        assert SkipDnaRestoreQueue.idle_polls is DeviceQueue.idle_polls
+        # SPILL's acquire pumps before it polls, so it cannot spin.
+        assert SpillQueue.idle_polls is DeviceQueue.idle_polls
         assert Adapted.idle_polls is not DeviceQueue.idle_polls
-        assert GrowQueue.idle_polls is not RetryFreeQueue.idle_polls
+        # GROW and the planted bugs keep RF/AN's acquire, and its spin.
+        assert GrowQueue.idle_polls is RetryFreeQueue.idle_polls
+        assert SkipDnaRestoreQueue.idle_polls is RetryFreeQueue.idle_polls
 
 
 @pytest.fixture(scope="module")
@@ -330,12 +333,26 @@ class TestBfsSpin:
         # steals come back empty steals every cycle, so few spins remain.
         assert ex_s["resumes"] < ex_p["resumes"]
 
-    def test_road_rfan_host_counts_are_pinned(self, road):
-        """The bench launch (road RF/AN, 56 WGs): its deterministic host
-        counters.  ~98% of its reads are elided re-polls, which the
-        engine now re-issues without resuming the kernel generator."""
-        run, _, ex = _bfs(road, "RF/AN", 56, probed=False)
-        assert (run.cycles, run.stats.issued_ops) == (517_412, 168_403)
-        assert ex["reads_elided"] == 164_924
-        assert ex["reads_vector"] == 1_495
-        assert ex["resumes"] == 3_685
+    @pytest.mark.parametrize(
+        "variant, factory, pins",
+        [
+            ("RF/AN", None, (517_412, 168_403, 164_924, 1_495, 3_685)),
+            # the bfs_grow bench configuration: 512-slot pool segments.
+            (
+                "GROW",
+                lambda cap: GrowQueue(cap, seg_cap=512),
+                (532_268, 180_387, 176_607, 1_670, 3_981),
+            ),
+        ],
+        ids=["RF/AN", "GROW"],
+    )
+    def test_road_host_counts_are_pinned(self, road, variant, factory, pins):
+        """The bench launches (road graph, 56 WGs): their deterministic
+        host counters.  ~98% of their reads are elided re-polls, which
+        the engine re-issues without resuming the kernel generator."""
+        kw = {} if factory is None else {"queue_factory": factory}
+        run, _, ex = _bfs(road, variant, 56, probed=False, **kw)
+        assert (
+            run.cycles, run.stats.issued_ops, ex["reads_elided"],
+            ex["reads_vector"], ex["resumes"],
+        ) == pins

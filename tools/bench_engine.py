@@ -39,21 +39,29 @@ revision) to record speedup factors; the tool refuses to compare runs
 whose simulated cycle counts differ, because a perf change that alters
 simulation results is a correctness bug, not a speedup.
 
+The fast CI job runs exactly that check against the committed
+``BENCH_engine.json`` (``--quick --no-ledger --baseline
+BENCH_engine.json``), so a change to any datapoint's ``cycles`` or
+``issued_ops`` fails the build.
+
 ``--guard`` (requires ``--baseline``) turns the comparison into an
 overhead gate: the run fails if any benchmark is slower than
-``baseline * (1 + --guard-tolerance)``.  CI uses this to pin the
+``baseline * (1 + --guard-tolerance)``, pinning the
 zero-cost-when-disabled contract of the observability probes — the
 probes-off hot path must stay within noise of the recorded baseline.
 The same gate also budgets the always-on flight recorder: the
 ``flight`` datapoint re-runs the ``bfs`` launch with the recorder and
 liveness watchdog attached, and ``--guard`` fails when its measured
-``overhead_frac`` exceeds ``--flight-budget``.
+``overhead_frac`` exceeds ``--flight-budget``.  Wall time is
+machine-dependent, so CI does not run ``--guard``; use it to compare
+two revisions on one machine.
 
 ``--vector-guard`` (no baseline needed) checks measured throughput
 against the absolute floors recorded in the regression-sentinel rule
-table (:data:`repro.obs.regress.DEFAULT_RULES`): the CI
-``bench-vector-guard`` step uses it to fail any change that loses the
-vectorized execution path, which relative comparisons can miss.
+table (:data:`repro.obs.regress.DEFAULT_RULES`), failing a change that
+loses the vectorized execution path, which relative comparisons can
+miss.  Its floors are absolute throughputs, so it too is a local check,
+not a CI step.
 """
 
 from __future__ import annotations
