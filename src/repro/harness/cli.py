@@ -135,7 +135,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--flight", action="store_true",
         help=(
             "attach the flight recorder + liveness watchdog to every "
-            "launch (passive: reports stay byte-identical); with "
+            "launch (passive: reports stay byte-identical; composes "
+            "with --profile); with "
             "--run-log, stream periodic snapshot telemetry for "
             "'repro-harness watch'; on failure, dump a postmortem.json "
             "bundle under --postmortem-dir"
@@ -202,14 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     registry = None if args.no_ledger else MetricsRegistry()
 
     telemetry = None
-    if args.flight and args.profile:
-        # both would install PROBE_FACTORY; the profile session wins.
-        print(
-            "[--flight is ignored with --profile: the profile session "
-            "owns the probe hook]",
-            file=sys.stderr,
-        )
-    elif args.flight:
+    if args.flight:
         telemetry = {
             "path": args.run_log,
             "postmortem_dir": args.postmortem_dir,
@@ -241,6 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             results, profiles = run_many_profiled(
                 cfg, ids, jobs=jobs, observer=observer, registry=registry,
+                telemetry=telemetry,
             )
         else:
             profiles = {}

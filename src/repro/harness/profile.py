@@ -316,12 +316,8 @@ def profile_main(argv: Optional[List[str]] = None) -> int:
     # host-side bookkeeping only: simulated results stay bit-identical).
     simt_engine.reset_exec_counts()
     simt_atomics.reset_path_counts()
-    simt_engine.EXEC_TIMING = True
-    try:
-        with session:
-            cycles, stats, label = _run_workload(args, device)
-    finally:
-        simt_engine.EXEC_TIMING = False
+    with simt_engine.exec_timing(), session:
+        cycles, stats, label = _run_workload(args, device)
     exec_counts = dict(simt_engine.EXEC_COUNTS)
     exec_counts.update(simt_atomics.PATH_COUNTS)
     exec_times = {k: round(v, 6) for k, v in simt_engine.EXEC_TIMES.items()}

@@ -20,13 +20,19 @@ queue variants, and persistent scheduler emit:
   every ``Engine.launch`` in scope gets a probe, metrics are aggregated
   per launch, and reports stay byte-identical.
 
+Every session attaches one :class:`repro.simt.engine.Instruments`
+entry through :func:`repro.simt.engine.attach`, so sessions compose:
+open any of them together and every launch feeds all of them (several
+probes on one launch share it through a
+:class:`~repro.simt.probe.FanoutProbe`).
+
 **Run-level** (this PR) — aggregates across launches, jobs, and whole
 invocations:
 
 * :class:`~repro.obs.registry.MetricsRegistry` /
   :class:`~repro.obs.registry.MetricsSession` — labelled counters,
   gauges, and histograms; every finished launch's ``SimStats`` lands
-  here via the engine's ``METRICS_SINK`` hook, and snapshots merge
+  here via an attached ``on_launch_end`` sink, and snapshots merge
   exactly across ``--jobs N`` worker processes;
 * :class:`~repro.obs.runlog.RunLog` /
   :class:`~repro.obs.runlog.LiveReporter` — schema-versioned JSONL run

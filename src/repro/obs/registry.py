@@ -22,17 +22,21 @@ interface:
   persistent scheduler publish) into registry counters, so every layer
   of the simulator lands in the same namespace.
 
-Attachment mirrors the probe design: the engine owns a module-global
-:data:`repro.simt.engine.METRICS_SINK` callable (no dependency on this
-package) and :class:`MetricsSession` installs/removes a sink that
-ingests each launch.  Sinks run at *launch end*, after all simulated
-state is final, so an attached registry can never perturb a simulation
-— pinned by ``tests/test_simt_determinism.py``.
+Attachment mirrors the probe design: :class:`MetricsSession` attaches
+an :class:`repro.simt.engine.Instruments` entry whose ``on_launch_end``
+sink ingests each launch (the engine has no dependency on this
+package).  Sinks run at *launch end*, after all simulated state is
+final, so an attached registry can never perturb a simulation — pinned
+by ``tests/test_simt_determinism.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+
+from repro.simt.engine import Instruments
+
+from .session import InstrumentSession
 
 #: snapshot schema version (bump on incompatible layout changes).
 SCHEMA = 1
@@ -313,7 +317,7 @@ class MetricsRegistry:
         return out
 
 
-class MetricsSession:
+class MetricsSession(InstrumentSession):
     """Attach a registry to every ``Engine.launch`` in this process.
 
     While the session is active, each finished launch's ``SimStats`` is
@@ -322,36 +326,16 @@ class MetricsSession:
     session is passive by construction: simulated cycles, stats, and
     memory are bit-identical with the session on or off.
 
-    Like :class:`~repro.obs.session.ProfileSession`, the sink is a
-    module global in *this* interpreter — worker processes open their
-    own session and ship ``registry.snapshot()`` back to the parent.
+    Like :class:`~repro.obs.session.ProfileSession`, the attachment
+    lives in *this* interpreter — worker processes open their own
+    session and ship ``registry.snapshot()`` back to the parent.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._prev_sink = None
-        self._active = False
 
     def _sink(self, device, n_wavefronts: int, stats) -> None:
         self.registry.ingest_simstats(stats, device=device.name)
 
-    def __enter__(self) -> "MetricsSession":
-        from repro.simt import engine as _engine
-
-        if self._active:
-            raise RuntimeError("MetricsSession is not re-entrant")
-        self._prev_sink = _engine.METRICS_SINK
-        _engine.METRICS_SINK = self._sink
-        self._active = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        from repro.simt import engine as _engine
-
-        if not self._active:
-            raise RuntimeError(
-                "MetricsSession.__exit__ without a matching __enter__"
-            )
-        _engine.METRICS_SINK = self._prev_sink
-        self._prev_sink = None
-        self._active = False
+    def _instruments(self) -> Instruments:
+        return Instruments(on_launch_end=self._sink)

@@ -1,38 +1,73 @@
-"""Process-wide probe attachment for existing entry points.
+"""Process-wide instrument attachment for existing entry points.
 
 The harness (and user code) reaches the engine through several layers
 — ``run_persistent_bfs``, soup drivers, experiment tables — and most of
-those signatures predate observability.  :class:`ProfileSession` avoids
-threading a ``probe=`` argument through all of them: while the session
-is active, :data:`repro.simt.engine.PROBE_FACTORY` hands every
-``Engine.launch`` in this process a fresh
-:class:`~repro.obs.timeline.TimelineProbe`, and the session collects
-each finished launch's metrics.
+those signatures predate observability.  A session avoids threading a
+``probe=`` argument through all of them: while it is open, it keeps one
+:class:`repro.simt.engine.Instruments` entry attached with
+:func:`repro.simt.engine.attach`, so every ``Engine.launch`` in this
+process gets the session's instruments.
 
-Probes are passive, so everything the wrapped code returns (reports,
-stats, tables) is byte-identical to an unprofiled run.
+:class:`InstrumentSession` is the shared enter/exit of
+:class:`ProfileSession` (here), :class:`~repro.obs.blame.BlameSession`,
+:class:`~repro.obs.flight.FlightSession` and
+:class:`~repro.obs.registry.MetricsSession`; each names only the
+instruments it attaches.  Sessions compose: open any of them together
+and every launch feeds all of them.  Probes are passive, so everything
+the wrapped code returns (reports, stats, tables) is byte-identical to
+an uninstrumented run.
 
 Usage::
 
-    with ProfileSession() as prof:
+    with ProfileSession() as prof, FlightSession(watchdog=True):
         run_persistent_bfs(...)
     prof.launches[0]["metrics"]["engine"]["occupancy"]
 
-Not multiprocess-aware: the factory is a module global in *this*
-interpreter, so run profiled experiments with ``jobs=1``.
+Not multiprocess-aware: the attachment lives in *this* interpreter, so
+worker processes open their own sessions (as the harness does).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.simt import engine as _engine
+from repro.simt.engine import Instruments, attach
 
 from .metrics import compute_metrics
 from .timeline import TimelineProbe
 
 
-class ProfileSession:
+class InstrumentSession:
+    """Attach :meth:`_instruments` while the session is open.
+
+    Not re-entrant: entering an open session, or exiting one that is
+    not open, raises :class:`RuntimeError` and leaves every attachment
+    as it was.  A closed session can be entered again.
+    """
+
+    _attachment = None
+
+    def _instruments(self) -> Instruments:
+        raise NotImplementedError
+
+    def __enter__(self):
+        if self._attachment is not None:
+            raise RuntimeError(f"{type(self).__name__} is not re-entrant")
+        attachment = attach(self._instruments())
+        attachment.__enter__()
+        self._attachment = attachment
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._attachment is None:
+            raise RuntimeError(
+                f"{type(self).__name__} exited without being entered"
+            )
+        attachment, self._attachment = self._attachment, None
+        attachment.__exit__(None, None, None)
+
+
+class ProfileSession(InstrumentSession):
     """Attach a TimelineProbe to every launch while the session is open.
 
     Parameters
@@ -58,10 +93,7 @@ class ProfileSession:
         self.keep_timelines = keep_timelines
         #: one entry per finished launch: {"metrics": ..., "timeline": ...}
         self.launches: List[Dict] = []
-        self._prev_factory = None
-        self._active = False
 
-    # ------------------------------------------------------------------
     def _collect(self, probe: TimelineProbe) -> None:
         entry: Dict = {"metrics": compute_metrics(probe, bins=self.bins)}
         if self.keep_timelines:
@@ -71,23 +103,8 @@ class ProfileSession:
     def _factory(self) -> TimelineProbe:
         return TimelineProbe(max_events=self.max_events, on_end=self._collect)
 
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ProfileSession":
-        if self._active:
-            raise RuntimeError("ProfileSession is not re-entrant")
-        self._prev_factory = _engine.PROBE_FACTORY
-        _engine.PROBE_FACTORY = self._factory
-        self._active = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._active:
-            # restoring PROBE_FACTORY from a never-entered session would
-            # clobber whatever another session installed in the meantime.
-            raise RuntimeError("ProfileSession exited without being entered")
-        _engine.PROBE_FACTORY = self._prev_factory
-        self._prev_factory = None
-        self._active = False
+    def _instruments(self) -> Instruments:
+        return Instruments(probe=self._factory)
 
     # ------------------------------------------------------------------
     @property

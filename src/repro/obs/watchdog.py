@@ -10,8 +10,9 @@ diagnosis.  Cooperative Kernels (PAPERS.md) makes the general argument:
 blocking algorithms on shared GPUs need *runtime* liveness detection.
 
 :class:`LivenessWatchdog` is that detector.  The engine polls it at
-simulated-cycle cadence (see
-:data:`repro.simt.engine.WATCHDOG_FACTORY`); each poll reads the
+simulated-cycle cadence (pass it as ``Engine.launch(..., watchdog=)``,
+or open ``FlightSession(watchdog=True)``, which attaches one per launch
+beside any other probe or session); each poll reads the
 paired :class:`~repro.obs.flight.FlightRecorder`'s
 :meth:`~repro.obs.flight.FlightRecorder.progress_signature` — a tuple
 of counters (deliveries, stores, exits, work-phase entries, done-flag

@@ -77,7 +77,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count
 from time import perf_counter
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +101,7 @@ from .ops import (
     Op,
     Spin,
 )
+from .probe import FanoutProbe
 from .stats import SimStats
 
 #: segment size (in 8-byte words) used by the coalescing model: lanes whose
@@ -314,6 +315,18 @@ EXEC_TIMES: Dict[str, float] = {}
 EXEC_TIMING = False
 
 
+@contextmanager
+def exec_timing():
+    """Accumulate :data:`EXEC_TIMES` while the block runs (profile tooling)."""
+    global EXEC_TIMING
+    prev = EXEC_TIMING
+    EXEC_TIMING = True
+    try:
+        yield
+    finally:
+        EXEC_TIMING = prev
+
+
 def reset_exec_counts() -> None:
     """Zero :data:`EXEC_COUNTS` and :data:`EXEC_TIMES` (profile tooling)."""
     for k in EXEC_COUNTS:
@@ -341,46 +354,66 @@ def exec_mode(mode: str):
 _next_epoch = count(1).__next__
 
 
-#: opt-in observability hook: when set, every launch that was not given
-#: an explicit ``probe`` asks this zero-arg factory for one (it may
-#: return None to leave that launch unprobed).  Installed/removed by
-#: :class:`repro.obs.session.ProfileSession`; the indirection keeps the
-#: engine free of any dependency on the observability package.
-PROBE_FACTORY: Optional[Callable[[], Optional[object]]] = None
+@dataclass(frozen=True, eq=False)
+class Instruments:
+    """Per-launch factories and a sink, attached with :func:`attach`.
 
-#: opt-in run-level metrics hook: when set, every finished launch is
-#: reported as ``METRICS_SINK(device, n_wavefronts, stats)`` *after* its
-#: statistics are final, so a sink can never perturb the simulation.
-#: Installed/removed by :class:`repro.obs.registry.MetricsSession`; like
-#: :data:`PROBE_FACTORY`, the indirection keeps the engine free of any
-#: dependency on the observability package.
-METRICS_SINK: Optional[Callable[[DeviceSpec, int, SimStats], None]] = None
+    ``probe()`` builds one launch's passive probe; ``watchdog(probe)``
+    builds its liveness monitor from the probe *this* entry built (see
+    :meth:`Engine.launch`); ``on_launch_end(device, n_wavefronts,
+    stats)`` runs once the statistics are final.  Factories may return
+    None.  The indirection keeps the engine free of any dependency on
+    the observability package.
+    """
 
-#: opt-in schedule-exploration hook: when set, every launch that was not
-#: given an explicit ``controller`` asks this zero-arg factory for one
-#: (it may return None to leave that launch uncontrolled).  A schedule
-#: controller perturbs *which* ready wavefront a CU issues from — see
-#: :class:`repro.verify.schedule.ScheduleController` — letting a
-#: verification driver explore interleavings the deterministic engine
-#: would never produce on its own.  Unlike probes, a controller is
-#: *active*: a controlled launch may simulate different cycles/stats
-#: than an uncontrolled one (that is its purpose).  With no controller,
-#: the issue path is the unmodified deterministic popleft, bit-identical
-#: to builds that predate the hook (pinned by the determinism tests).
-CONTROLLER_FACTORY: Optional[Callable[[], Optional[object]]] = None
+    probe: Optional[Callable[[], Optional[object]]] = None
+    watchdog: Optional[Callable[[Optional[object]], Optional[object]]] = None
+    on_launch_end: Optional[Callable[[DeviceSpec, int, SimStats], None]] = None
 
-#: opt-in liveness hook: when set, every launch that was not given an
-#: explicit ``watchdog`` asks this zero-arg factory for one (it may
-#: return None to leave that launch unwatched).  A watchdog exposes
-#: ``launch_begin(device, n_wavefronts) -> next_check_cycle`` and
-#: ``poll(now, live) -> next_check_cycle``; the engine calls ``poll``
-#: the first time simulated time reaches the returned cycle.  Polls are
-#: read-only with respect to simulated state — a watchdog that never
-#: escalates leaves the launch bit-identical to an unwatched one
-#: (pinned by the determinism tests) — but an escalating watchdog may
-#: raise (e.g. :class:`repro.simt.errors.WedgeError`) to abort a wedged
-#: launch.  Installed/removed by :class:`repro.obs.flight.FlightSession`.
-WATCHDOG_FACTORY: Optional[Callable[[], Optional[object]]] = None
+
+#: the attached :class:`Instruments`, in attachment order.
+_ATTACHED: List[Instruments] = []
+
+
+@contextmanager
+def attach(instruments: Instruments):
+    """Attach ``instruments`` to every ``Engine.launch`` in this process
+    while the block runs.  Attachments nest and compose: each launch
+    consults every attached entry (see :meth:`Engine.launch`)."""
+    _ATTACHED.append(instruments)
+    try:
+        yield instruments
+    finally:
+        _ATTACHED.remove(instruments)  # by identity (eq=False)
+
+
+def attached() -> Tuple[Instruments, ...]:
+    """The currently attached instruments, in attachment order."""
+    return tuple(_ATTACHED)
+
+
+def _compose(probe, watchdog):
+    """Combine a launch's explicit probe and watchdog with every
+    attached entry; returns ``(probe, watchdog, sinks)``."""
+    probes = [] if probe is None else [probe]
+    sinks = []
+    for inst in _ATTACHED:
+        own = inst.probe() if inst.probe is not None else None
+        if own is not None:
+            probes.append(own)
+        if inst.watchdog is not None:
+            wd = inst.watchdog(own)
+            if wd is not None:
+                if watchdog is not None:
+                    raise ValueError("a launch takes at most one watchdog")
+                watchdog = wd
+        if inst.on_launch_end is not None:
+            sinks.append(inst.on_launch_end)
+    if len(probes) > 1:
+        probe = FanoutProbe(probes)
+    elif probes:
+        probe = probes[0]
+    return probe, watchdog, sinks
 
 
 def _resolve_op_kind(cls: type, op: Op) -> int:
@@ -469,24 +502,31 @@ class Engine:
         ``probe`` attaches an observability hook
         (:class:`repro.simt.probe.Probe`) for this launch only.  Probes
         are passive: a probed launch simulates bit-identically to an
-        unprobed one.  When no explicit probe is given and
-        :data:`PROBE_FACTORY` is installed, the factory supplies one.
+        unprobed one.
 
-        ``controller`` attaches a schedule-exploration hook for this
-        launch only (see :data:`CONTROLLER_FACTORY`).  Whenever a CU is
-        about to issue, the controller's ``pick(now, cid, ready)`` picks
-        the index of the ready wavefront to issue from, or returns a
-        negative value to *hold* the CU for one cycle (the engine
-        re-polls it at ``now + 1``; the ``max_cycles`` watchdog bounds a
-        controller that holds forever).  Controllers perturb issue order
-        only — memory semantics, atomic serialization, and cost charging
-        are untouched, so every controlled execution is one the
-        simulated hardware could legally produce.
+        ``controller`` attaches a schedule-exploration hook
+        (:class:`repro.verify.schedule.ScheduleController`) for this
+        launch only.  Whenever a CU is about to issue, the controller's
+        ``pick(now, cid, ready)`` picks the index of the ready wavefront
+        to issue from, or returns a negative value to *hold* the CU for
+        one cycle (the engine re-polls it at ``now + 1``; the
+        ``max_cycles`` watchdog bounds a controller that holds forever).
+        Controllers perturb issue order only — memory semantics, atomic
+        serialization, and cost charging are untouched, so every
+        controlled execution is one the simulated hardware could legally
+        produce.
 
-        ``watchdog`` attaches a liveness monitor for this launch only
-        (see :data:`WATCHDOG_FACTORY`): the engine polls it at the
-        simulated cycles it requests; a poll that detects a wedge may
-        raise to abort the launch.
+        ``watchdog`` attaches a liveness monitor for this launch only:
+        the engine calls ``poll(now, live)`` at the simulated cycles it
+        requests (``launch_begin`` returns the first); polls only read,
+        but one that detects a wedge may raise to abort the launch.
+
+        Every :func:`attach`-ed entry joins in.  The explicit probe comes
+        first, then the entries' probes in attachment order: one probe
+        is used as is, several share a
+        :class:`~repro.simt.probe.FanoutProbe`.  A second watchdog
+        raises :class:`ValueError`; sinks run after the statistics are
+        final.
         """
         if n_wavefronts <= 0:
             raise LaunchConfigError(
@@ -502,19 +542,16 @@ class Engine:
         stats = SimStats()
         device = self.device
         memory = self.memory
-        if probe is None and PROBE_FACTORY is not None:
-            probe = PROBE_FACTORY()
+        sinks = ()
+        if _ATTACHED:
+            probe, watchdog, sinks = _compose(probe, watchdog)
         probing = probe is not None
         if probing:
             probe.now = 0
             probe.launch_begin(device, n_wavefronts)
-        if controller is None and CONTROLLER_FACTORY is not None:
-            controller = CONTROLLER_FACTORY()
         controlled = controller is not None
         if controlled:
             controller.launch_begin(device, n_wavefronts)
-        if watchdog is None and WATCHDOG_FACTORY is not None:
-            watchdog = WATCHDOG_FACTORY()
         watching = watchdog is not None
         # first simulated cycle at which the watchdog wants a poll; the
         # per-event check below is a single comparison when unwatched.
@@ -1260,6 +1297,6 @@ class Engine:
         stats.sim_cycles = total
         if probing:
             probe.launch_end(total, stats)
-        if METRICS_SINK is not None:
-            METRICS_SINK(device, n_wavefronts, stats)
+        for sink in sinks:
+            sink(device, n_wavefronts, stats)
         return LaunchResult(cycles=total, stats=stats, device=device)

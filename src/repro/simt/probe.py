@@ -26,7 +26,8 @@ package.
 
 Zero-cost contract
 ------------------
-Probing is strictly opt-in (``Engine.launch(..., probe=None)`` is the
+Probing is strictly opt-in (``Engine.launch(..., probe=None)`` with
+nothing attached through :func:`repro.simt.engine.attach` is the
 default) and instrumentation sites are gated on a single ``probe is not
 None`` test, so a probe-less launch runs the exact hot paths of an
 uninstrumented build.  A probe must be *passive*: it may read, never
@@ -39,11 +40,15 @@ stores the current cycle into it immediately before resuming a kernel
 generator, so kernel-side layers (queues, schedulers, tracers) can
 time-stamp their own events without threading the clock through every
 call.
+
+A launch with several probes (an explicit one plus attached sessions)
+shares them through a :class:`FanoutProbe`; a single probe is never
+wrapped.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
 
 class Probe:
@@ -238,3 +243,60 @@ class Probe:
         ``"full_wait"``, ``"steal"``); ``detail`` optionally carries the
         queue prefix so blame can aggregate per queue/shard.  Purely a
         classification mark: phase marks never affect simulation."""
+
+
+#: the hook names: every public callable of :class:`Probe`.
+_HOOKS = tuple(
+    name for name, v in vars(Probe).items()
+    if callable(v) and not name.startswith("_")
+)
+
+
+def _fan(fns):
+    def call(*args, **kwargs):
+        for fn in fns:
+            fn(*args, **kwargs)
+
+    return call
+
+
+class FanoutProbe(Probe):
+    """Forwards each hook, in order, to the ``probes`` that override it
+    (bound once: a hook only one child overrides is that child's own
+    bound method), and keeps every child's :attr:`now` and
+    :attr:`cur_wf` equal to what the engine writes."""
+
+    def __init__(self, probes: Sequence[object]):
+        self.probes = tuple(probes)
+        self._now = 0
+        self._cur_wf = -1
+        for name in _HOOKS:
+            base = getattr(Probe, name)
+            fns = [
+                fn for fn in (getattr(p, name, None) for p in self.probes)
+                if fn is not None and getattr(fn, "__func__", None) is not base
+            ]
+            if len(fns) == 1:
+                setattr(self, name, fns[0])
+            elif fns:
+                setattr(self, name, _fan(fns))
+
+    @property
+    def now(self) -> int:  # type: ignore[override]
+        return self._now
+
+    @now.setter
+    def now(self, cycle: int) -> None:
+        self._now = cycle
+        for p in self.probes:
+            p.now = cycle
+
+    @property
+    def cur_wf(self) -> int:  # type: ignore[override]
+        return self._cur_wf
+
+    @cur_wf.setter
+    def cur_wf(self, wf: int) -> None:
+        self._cur_wf = wf
+        for p in self.probes:
+            p.cur_wf = wf

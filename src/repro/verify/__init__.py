@@ -6,16 +6,19 @@ reservations — are *concurrency correctness* claims, yet the engine is
 deterministic: ordinary tests only ever exercise the one interleaving
 the event loop happens to produce.  This package closes that gap:
 
-* :mod:`repro.verify.schedule` — schedule controllers that ride the
-  engine's ``controller`` hook (:data:`repro.simt.engine.CONTROLLER_FACTORY`)
-  and perturb wavefront issue order: seeded-random interleavings plus
-  targeted adversarial schedules (delay-the-proxy, starve-one-CU).
+* :mod:`repro.verify.schedule` — schedule controllers, passed to
+  ``Engine.launch(..., controller=)``, that perturb wavefront issue
+  order: seeded-random interleavings plus targeted adversarial
+  schedules (delay-the-proxy, starve-one-CU).
 * :mod:`repro.verify.oracle` — an invariant oracle
   (:class:`~repro.verify.oracle.InvariantOracle`) that records the
   operation history through the passive probe interface and replays it,
   event by event, against a sequential FIFO-with-reservation
   specification; violations raise
   :class:`~repro.verify.oracle.VerificationError` at the exact step.
+  The oracle is an explicit probe, so any open
+  :mod:`repro.obs` session (a flight recorder with its liveness
+  watchdog, say) watches the same launch beside it.
 * :mod:`repro.verify.scenario` / :mod:`repro.verify.runner` — the
   JSON-serializable scenario space (variant x workload x schedule x
   capacity regime) and the ``--quick`` / ``--deep`` exploration plans.

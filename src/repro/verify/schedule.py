@@ -2,9 +2,8 @@
 
 The engine's event loop is deterministic — left alone it explores exactly
 one interleaving per (kernel, launch geometry).  A *schedule controller*
-rides :data:`repro.simt.engine.CONTROLLER_FACTORY` / the ``controller=``
-launch argument and perturbs which ready wavefront a compute unit issues
-next, or holds the CU idle for a cycle.  Because the engine applies the
+rides the ``controller=`` launch argument and perturbs which ready
+wavefront a compute unit issues next, or holds the CU idle for a cycle.  Because the engine applies the
 controller strictly at the issue-selection point, every controlled
 execution is still a legal hardware execution: memory semantics, atomic
 serialization and cost charging are untouched.  The controllers here are

@@ -1,11 +1,23 @@
 """The ``--flight`` harness surface: watch, postmortem, live telemetry."""
 
+import json
+
 from repro.harness.cli import main
+from repro.harness.experiments import EXPERIMENTS
 from repro.harness.postmortem import postmortem_main
 from repro.harness.watch import watch_main
 from repro.obs.flight import build_postmortem, write_postmortem
 from repro.obs.runlog import read_runlog
 from repro.simt import QueueFullError
+
+
+def _report_lines(text):
+    """Report lines of stdout, without the wall-clock "regenerated in
+    Xs" footers and the ``[saved ...]`` lines of ``--out``."""
+    return [
+        ln for ln in text.splitlines()
+        if "regenerated in" not in ln and not ln.startswith("[saved ")
+    ]
 
 
 class TestFlightFlag:
@@ -29,14 +41,7 @@ class TestFlightFlag:
         flight_out = capsys.readouterr().out
 
         # the recorder is passive: stdout reports are byte-identical
-        # (modulo the wall-clock "regenerated in Xs" footer line)
-        def report_lines(text):
-            return [
-                ln for ln in text.splitlines()
-                if "regenerated in" not in ln
-            ]
-
-        assert report_lines(flight_out) == report_lines(plain_out)
+        assert _report_lines(flight_out) == _report_lines(plain_out)
 
         events = read_runlog(str(log_flight))
         kinds = [ev["event"] for ev in events]
@@ -49,14 +54,31 @@ class TestFlightFlag:
         assert not list((tmp_path / "pm").glob("*.json")) \
             if (tmp_path / "pm").exists() else True
 
-    def test_flight_with_profile_is_ignored_with_message(
-        self, tmp_path, capsys
+    def test_flight_composes_with_profile(
+        self, tmp_path, capsys, monkeypatch
     ):
+        # tab1 only tabulates dataset statistics and launches nothing, so
+        # a stand-in experiment that simulates two BFS launches is used.
+        from test_harness_profile_cli import _tiny_experiment
+
+        monkeypatch.setitem(EXPERIMENTS, "tinyexp", _tiny_experiment)
+        assert main(["tinyexp", "--quick", "--no-ledger"]) == 0
+        plain_out = capsys.readouterr().out
+        log = tmp_path / "run.jsonl"
         assert main(
-            ["tab1", "--quick", "--no-ledger", "--flight", "--profile"]
+            ["tinyexp", "--quick", "--no-ledger", "--flight", "--profile",
+             "--run-log", str(log), "--out", str(tmp_path / "out")]
         ) == 0
-        err = capsys.readouterr().err
-        assert "--flight is ignored with --profile" in err
+        captured = capsys.readouterr()
+        assert "--flight" not in captured.err
+
+        payload = json.loads(
+            (tmp_path / "out" / "tinyexp.profile.json").read_text()
+        )
+        assert len(payload["launches"]) == 2
+        kinds = [ev["event"] for ev in read_runlog(str(log))]
+        assert kinds.count("snapshot") >= 1
+        assert _report_lines(captured.out) == _report_lines(plain_out)
 
 
 class TestWatchCli:

@@ -128,9 +128,9 @@ class TestProfileFlag:
         import repro.simt.engine as engine_mod
 
         monkeypatch.setitem(EXPERIMENTS, "tinyexp", _tiny_experiment)
-        assert engine_mod.PROBE_FACTORY is None
+        assert engine_mod.attached() == ()
         assert main(["tinyexp", "--profile"]) == 0
-        assert engine_mod.PROBE_FACTORY is None
+        assert engine_mod.attached() == ()
 
     def test_profile_single_experiment_with_jobs_stays_quiet(
         self, monkeypatch, capsys
@@ -180,15 +180,15 @@ class TestProfileSessionEdgeCases:
         import repro.simt.engine as engine_mod
         from repro.obs import ProfileSession
 
-        # an installed factory must survive a stray __exit__: restoring
-        # from a never-entered session used to clobber it to None.
+        # an attached session must survive a stray __exit__ of another
+        # session that was never entered.
         with ProfileSession() as active:
-            installed = engine_mod.PROBE_FACTORY
-            assert installed is not None
+            installed = engine_mod.attached()
+            assert len(installed) == 1
             with pytest.raises(RuntimeError):
                 ProfileSession().__exit__(None, None, None)
-            assert engine_mod.PROBE_FACTORY is installed
-        assert engine_mod.PROBE_FACTORY is None
+            assert engine_mod.attached() == installed
+        assert engine_mod.attached() == ()
 
     def test_session_reusable_after_clean_exit(self):
         import repro.simt.engine as engine_mod
@@ -197,5 +197,5 @@ class TestProfileSessionEdgeCases:
         session = ProfileSession()
         for _ in range(2):
             with session:
-                assert engine_mod.PROBE_FACTORY is not None
-            assert engine_mod.PROBE_FACTORY is None
+                assert len(engine_mod.attached()) == 1
+            assert engine_mod.attached() == ()

@@ -279,12 +279,15 @@ class TestProfileSession:
             with pytest.raises(RuntimeError):
                 session.__enter__()
 
-    def test_explicit_probe_wins_over_factory(self):
+    def test_explicit_probe_composes_with_session(self):
+        # an explicit probe no longer shuts the session out: both watch
+        # the launch, and each records what it would have recorded alone.
         g = roadmap_graph(8, 8, seed=2)
         mine = TimelineProbe()
         with ProfileSession() as session:
-            run_persistent_bfs(
+            run = run_persistent_bfs(
                 g, 0, "RF/AN", TESTGPU, 2, verify=False, probe=mine
             )
-        assert mine.cycles > 0
-        assert session.launches == []  # factory never consulted
+        assert mine.cycles == run.cycles
+        assert len(session.launches) == 1
+        assert session.launches[0]["timeline"].issues == mine.issues

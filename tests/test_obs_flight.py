@@ -98,8 +98,7 @@ class TestFlightSession:
             ) as session:
                 _small_bfs()  # populates session.last
                 raise RuntimeError("boom")
-        assert engine_mod.PROBE_FACTORY is None
-        assert engine_mod.WATCHDOG_FACTORY is None
+        assert engine_mod.attached() == ()
         assert session.postmortem_path is not None
         bundle = load_postmortem(session.postmortem_path)
         assert bundle["error"]["type"] == "RuntimeError"

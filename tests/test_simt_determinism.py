@@ -12,6 +12,11 @@ counter, or memory word.  These tests pin that invariant:
   without recursion (the issue loop is iterative);
 * attaching an observability probe (``repro.obs``) perturbs nothing:
   profiled and unprofiled runs agree on every cycle, counter, and cost.
+
+The observer, session and controller tests all compare against the same
+four bare BFS launches (BASE, AN, RF/AN and 4-shard SHARDED on Synthetic
+x0.25, TESTGPU, 4 workgroups); the module-scoped :func:`bare` fixture
+simulates each of them once.
 """
 
 import numpy as np
@@ -36,16 +41,47 @@ from repro.simt import (
 from repro.simt.engine import transactions_for
 
 
-def test_same_bfs_launch_twice_is_bit_identical():
+@pytest.fixture(scope="module")
+def synthetic():
     spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    runs = []
-    for _ in range(2):
-        run = run_persistent_bfs(
-            g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-        )
-        runs.append(run)
-    a, b = runs
+    return spec.build(spec.default_scale * 0.25), spec.source
+
+
+def _sharded4(capacity):
+    from repro.core import ShardedQueue
+
+    return ShardedQueue(capacity, n_shards=4, steal=True)
+
+
+def _bfs(synthetic, variant, **kw):
+    """The BFS launch every test here compares; ``SHARDED`` means four
+    stealing shards at the plain RF/AN capacity."""
+    from repro.bfs.common import bfs_queue_capacity
+
+    g, source = synthetic
+    if variant == "SHARDED":
+        kw.setdefault("queue_factory", _sharded4)
+        kw.setdefault("capacity", bfs_queue_capacity(g, TESTGPU, 4))
+    return run_persistent_bfs(
+        g, source, variant, TESTGPU, 4, verify=False, **kw
+    )
+
+
+@pytest.fixture(scope="module")
+def bare(synthetic):
+    """``bare(variant)``: the unobserved launch, simulated once."""
+    runs = {}
+
+    def get(variant):
+        if variant not in runs:
+            runs[variant] = _bfs(synthetic, variant)
+        return runs[variant]
+
+    return get
+
+
+def test_same_bfs_launch_twice_is_bit_identical(synthetic, bare):
+    a, b = bare("RF/AN"), _bfs(synthetic, "RF/AN")
     assert a.cycles == b.cycles
     assert a.stats.snapshot() == b.stats.snapshot()
     assert np.array_equal(a.costs, b.costs)
@@ -94,18 +130,12 @@ def test_fast_path_and_generic_path_simulate_identically():
 
 
 @pytest.mark.parametrize("variant", ["BASE", "AN", "RF/AN"])
-def test_profiled_run_is_bit_identical_to_unprofiled(variant):
+def test_profiled_run_is_bit_identical_to_unprofiled(variant, synthetic, bare):
     from repro.obs import TimelineProbe
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False
-    )
+    plain = bare(variant)
     probe = TimelineProbe()
-    profiled = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False, probe=probe
-    )
+    profiled = _bfs(synthetic, variant, probe=probe)
     assert plain.cycles == profiled.cycles
     assert plain.stats.snapshot() == profiled.stats.snapshot()
     assert np.array_equal(plain.costs, profiled.costs)
@@ -115,45 +145,33 @@ def test_profiled_run_is_bit_identical_to_unprofiled(variant):
     assert probe.queues  # queue registered itself
 
 
-def test_profile_session_does_not_perturb_or_leak():
+def test_profile_session_does_not_perturb_or_leak(synthetic, bare):
     import repro.simt.engine as engine_mod
     from repro.obs import ProfileSession
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-    )
-    assert engine_mod.PROBE_FACTORY is None
+    plain = bare("RF/AN")
+    assert engine_mod.attached() == ()
     with ProfileSession(bins=16) as session:
-        profiled = run_persistent_bfs(
-            g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-        )
-    assert engine_mod.PROBE_FACTORY is None  # restored on exit
+        profiled = _bfs(synthetic, "RF/AN")
+    assert engine_mod.attached() == ()  # detached on exit
     assert plain.cycles == profiled.cycles
     assert plain.stats.snapshot() == profiled.stats.snapshot()
     assert len(session.launches) == 1
     assert session.launches[0]["metrics"]["cycles"] == plain.cycles
 
 
-def test_metrics_session_does_not_perturb_or_leak():
-    # run-level metrics ride the METRICS_SINK hook, which fires after a
-    # launch's stats are final: metered and bare runs must agree on
-    # every cycle, counter, and cost.
+def test_metrics_session_does_not_perturb_or_leak(synthetic, bare):
+    # run-level metrics ride an attached launch-end sink, which fires
+    # after a launch's stats are final: metered and bare runs must agree
+    # on every cycle, counter, and cost.
     import repro.simt.engine as engine_mod
     from repro.obs import MetricsSession
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-    )
-    assert engine_mod.METRICS_SINK is None
+    plain = bare("RF/AN")
+    assert engine_mod.attached() == ()
     with MetricsSession() as session:
-        metered = run_persistent_bfs(
-            g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-        )
-    assert engine_mod.METRICS_SINK is None  # restored on exit
+        metered = _bfs(synthetic, "RF/AN")
+    assert engine_mod.attached() == ()  # detached on exit
     assert plain.cycles == metered.cycles
     assert plain.stats.snapshot() == metered.stats.snapshot()
     assert np.array_equal(plain.costs, metered.costs)
@@ -167,7 +185,7 @@ def test_metrics_session_does_not_perturb_or_leak():
 
 
 @pytest.mark.parametrize("variant", ["BASE", "AN", "RF/AN"])
-def test_blamed_run_is_bit_identical_to_bare(variant):
+def test_blamed_run_is_bit_identical_to_bare(variant, synthetic, bare):
     # the blame recorder subscribes to extra hooks (wf_phase,
     # sched_done, on_atomic_queued) that every queue variant and both
     # persistent kernels emit; all of them sit behind the usual
@@ -175,15 +193,9 @@ def test_blamed_run_is_bit_identical_to_bare(variant):
     # one on every cycle, counter, and cost.
     from repro.obs import BlameProbe
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False
-    )
+    plain = bare(variant)
     probe = BlameProbe()
-    blamed = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False, probe=probe
-    )
+    blamed = _bfs(synthetic, variant, probe=probe)
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
     assert np.array_equal(plain.costs, blamed.costs)
@@ -192,74 +204,56 @@ def test_blamed_run_is_bit_identical_to_bare(variant):
     assert probe.done_event is not None
 
 
-def test_blamed_naive_cas_run_is_bit_identical_to_bare():
-    # the naive-CAS ablation queue emits the blame phase marks too
+def _naive_cas_launch(probe=None):
     from repro.core import SchedulerControl, persistent_kernel
     from repro.ext import NaiveCasQueue
+    from test_core_scheduler import CountdownWorker
+
+    eng = Engine(TESTGPU)
+    sched = SchedulerControl()
+    q = NaiveCasQueue(capacity=4096)
+    q.allocate(eng.memory)
+    sched.allocate(eng.memory)
+    q.seed(eng.memory, [40, 17])
+    sched.seed(eng.memory, 2)
+    kern = persistent_kernel(q, CountdownWorker(), sched)
+    return eng.launch(
+        kern, 6, params={"max_work_cycles": 500_000}, probe=probe
+    )
+
+
+def test_blamed_naive_cas_run_is_bit_identical_to_bare():
+    # the naive-CAS ablation queue emits the blame phase marks too
     from repro.obs import BlameProbe
 
-    def launch(probe=None):
-        eng = Engine(TESTGPU)
-        sched = SchedulerControl()
-        q = NaiveCasQueue(capacity=4096)
-        q.allocate(eng.memory)
-        sched.allocate(eng.memory)
-        q.seed(eng.memory, [40, 17])
-        sched.seed(eng.memory, 2)
-        from test_core_scheduler import CountdownWorker
-
-        kern = persistent_kernel(q, CountdownWorker(), sched)
-        res = eng.launch(
-            kern, 6, params={"max_work_cycles": 500_000}, probe=probe
-        )
-        return res
-
-    plain = launch()
+    plain = _naive_cas_launch()
     probe = BlameProbe()
-    blamed = launch(probe=probe)
+    blamed = _naive_cas_launch(probe=probe)
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
     assert probe.phase_log
 
 
-def test_blamed_sharded_run_is_bit_identical_to_bare():
-    from repro.bfs.common import bfs_queue_capacity
-    from repro.core import ShardedQueue
+def test_blamed_sharded_run_is_bit_identical_to_bare(synthetic, bare):
     from repro.obs import BlameProbe
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    cap = bfs_queue_capacity(g, TESTGPU, 4)
-    factory = lambda c: ShardedQueue(c, n_shards=4, steal=True)  # noqa: E731
-    plain = run_persistent_bfs(
-        g, spec.source, "SHARDED", TESTGPU, 4, verify=False,
-        queue_factory=factory, capacity=cap,
-    )
+    plain = bare("SHARDED")
     probe = BlameProbe()
-    blamed = run_persistent_bfs(
-        g, spec.source, "SHARDED", TESTGPU, 4, verify=False,
-        queue_factory=factory, capacity=cap, probe=probe,
-    )
+    blamed = _bfs(synthetic, "SHARDED", probe=probe)
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
     assert np.array_equal(plain.costs, blamed.costs)
 
 
-def test_blame_session_does_not_perturb_or_leak():
+def test_blame_session_does_not_perturb_or_leak(synthetic, bare):
     import repro.simt.engine as engine_mod
     from repro.obs import BlameSession
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-    )
-    assert engine_mod.PROBE_FACTORY is None
+    plain = bare("RF/AN")
+    assert engine_mod.attached() == ()
     with BlameSession() as session:
-        blamed = run_persistent_bfs(
-            g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-        )
-    assert engine_mod.PROBE_FACTORY is None  # restored on exit
+        blamed = _bfs(synthetic, "RF/AN")
+    assert engine_mod.attached() == ()  # detached on exit
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
     assert np.array_equal(plain.costs, blamed.costs)
@@ -268,22 +262,18 @@ def test_blame_session_does_not_perturb_or_leak():
 
 
 @pytest.mark.parametrize("variant", ["BASE", "AN", "RF/AN"])
-def test_flight_recorded_run_is_bit_identical_to_bare(variant):
+def test_flight_recorded_run_is_bit_identical_to_bare(
+    variant, synthetic, bare
+):
     # the flight recorder is the always-on probe (--flight): it folds
     # every callback into a bounded ring + rolling counters, so a
     # recorded run must agree with a bare one on every cycle, counter,
     # and cost — for all queue variants.
     from repro.obs import FlightRecorder
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False
-    )
+    plain = bare(variant)
     rec = FlightRecorder()
-    recorded = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False, probe=rec
-    )
+    recorded = _bfs(synthetic, variant, probe=rec)
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
     assert np.array_equal(plain.costs, recorded.costs)
@@ -294,51 +284,24 @@ def test_flight_recorded_run_is_bit_identical_to_bare(variant):
 
 
 def test_flight_recorded_naive_cas_run_is_bit_identical_to_bare():
-    from repro.core import SchedulerControl, persistent_kernel
-    from repro.ext import NaiveCasQueue
     from repro.obs import FlightRecorder
 
-    def launch(probe=None):
-        eng = Engine(TESTGPU)
-        sched = SchedulerControl()
-        q = NaiveCasQueue(capacity=4096)
-        q.allocate(eng.memory)
-        sched.allocate(eng.memory)
-        q.seed(eng.memory, [40, 17])
-        sched.seed(eng.memory, 2)
-        from test_core_scheduler import CountdownWorker
-
-        kern = persistent_kernel(q, CountdownWorker(), sched)
-        return eng.launch(
-            kern, 6, params={"max_work_cycles": 500_000}, probe=probe
-        )
-
-    plain = launch()
+    plain = _naive_cas_launch()
     rec = FlightRecorder()
-    recorded = launch(probe=rec)
+    recorded = _naive_cas_launch(probe=rec)
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
     assert rec.events
 
 
-def test_flight_recorded_sharded_run_is_bit_identical_to_bare():
-    from repro.bfs.common import bfs_queue_capacity
-    from repro.core import ShardedQueue
+def test_flight_recorded_sharded_run_is_bit_identical_to_bare(
+    synthetic, bare
+):
     from repro.obs import FlightRecorder
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    cap = bfs_queue_capacity(g, TESTGPU, 4)
-    factory = lambda c: ShardedQueue(c, n_shards=4, steal=True)  # noqa: E731
-    plain = run_persistent_bfs(
-        g, spec.source, "SHARDED", TESTGPU, 4, verify=False,
-        queue_factory=factory, capacity=cap,
-    )
+    plain = bare("SHARDED")
     rec = FlightRecorder()
-    recorded = run_persistent_bfs(
-        g, spec.source, "SHARDED", TESTGPU, 4, verify=False,
-        queue_factory=factory, capacity=cap, probe=rec,
-    )
+    recorded = _bfs(synthetic, "SHARDED", probe=rec)
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
     assert np.array_equal(plain.costs, recorded.costs)
@@ -346,27 +309,21 @@ def test_flight_recorded_sharded_run_is_bit_identical_to_bare():
     assert len(rec.queues) > 1
 
 
-def test_flight_session_with_watchdog_does_not_perturb_or_leak():
-    # the full --flight stack: PROBE_FACTORY installs a FlightRecorder
-    # and WATCHDOG_FACTORY attaches a LivenessWatchdog whose polls ride
-    # the engine loop — on a healthy run both must be bit-invisible and
-    # both hooks must be restored on exit.
+def test_flight_session_with_watchdog_does_not_perturb_or_leak(
+    synthetic, bare
+):
+    # the full --flight stack: the session attaches a FlightRecorder
+    # and a LivenessWatchdog whose polls ride the engine loop — on a
+    # healthy run both must be bit-invisible and the session must
+    # detach on exit.
     import repro.simt.engine as engine_mod
     from repro.obs import FlightSession
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-    )
-    assert engine_mod.PROBE_FACTORY is None
-    assert engine_mod.WATCHDOG_FACTORY is None
+    plain = bare("RF/AN")
+    assert engine_mod.attached() == ()
     with FlightSession(watchdog=True) as session:
-        recorded = run_persistent_bfs(
-            g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-        )
-    assert engine_mod.PROBE_FACTORY is None  # restored on exit
-    assert engine_mod.WATCHDOG_FACTORY is None
+        recorded = _bfs(synthetic, "RF/AN")
+    assert engine_mod.attached() == ()  # detached on exit
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
     assert np.array_equal(plain.costs, recorded.costs)
@@ -376,50 +333,63 @@ def test_flight_session_with_watchdog_does_not_perturb_or_leak():
     assert session.last.cycles == recorded.cycles
 
 
+def _controlled_bfs(synthetic, variant, controller):
+    """``run_persistent_bfs``'s single launch, under ``controller``;
+    returns ``(launch result, costs)``."""
+    from repro.bfs import BFSWorker
+    from repro.bfs.common import (
+        alloc_graph_buffers,
+        bfs_queue_capacity,
+        read_costs,
+    )
+    from repro.core import SchedulerControl, make_queue, persistent_kernel
+
+    g, source = synthetic
+    eng = Engine(TESTGPU)
+    alloc_graph_buffers(eng.memory, g, source)
+    q = make_queue(variant, bfs_queue_capacity(g, TESTGPU, 4))
+    sched = SchedulerControl()
+    q.allocate(eng.memory)
+    sched.allocate(eng.memory)
+    q.seed(eng.memory, [source])
+    sched.seed(eng.memory, 1)
+    kern = persistent_kernel(q, BFSWorker(), sched, subtasks_per_cycle=4)
+    res = eng.launch(kern, 4, controller=controller)
+    return res, read_costs(eng.memory, g.n_vertices)
+
+
 @pytest.mark.parametrize("variant", ["BASE", "AN", "RF/AN"])
-def test_controlled_fifo_run_is_bit_identical_to_uncontrolled(variant):
+def test_controlled_fifo_run_is_bit_identical_to_uncontrolled(
+    variant, synthetic, bare
+):
     # the schedule-controller hook (repro.verify) rides the issue
-    # selection point; with an engine-order controller installed the
-    # hook must be bit-invisible: same cycles, counters, and costs.
-    import repro.simt.engine as engine_mod
+    # selection point; with an engine-order controller the hook must
+    # be bit-invisible: same cycles, counters, and costs.
+    from repro.bfs.common import bfs_queue_capacity
     from repro.verify.schedule import FifoController
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False
+    plain = bare(variant)
+    # the bare run needed no queue-full retry, so one launch matches it
+    assert plain.extra["queue_capacity"] == bfs_queue_capacity(
+        synthetic[0], TESTGPU, 4
     )
-    assert engine_mod.CONTROLLER_FACTORY is None
-    try:
-        engine_mod.CONTROLLER_FACTORY = FifoController
-        controlled = run_persistent_bfs(
-            g, spec.source, variant, TESTGPU, 4, verify=False
-        )
-    finally:
-        engine_mod.CONTROLLER_FACTORY = None
+    controlled, costs = _controlled_bfs(synthetic, variant, FifoController())
     assert plain.cycles == controlled.cycles
     assert plain.stats.snapshot() == controlled.stats.snapshot()
-    assert np.array_equal(plain.costs, controlled.costs)
+    assert np.array_equal(plain.costs, costs)
 
 
-def test_sharded_single_shard_is_bit_identical_to_rfan():
+def test_sharded_single_shard_is_bit_identical_to_rfan(synthetic, bare):
     # the sharded composition at shards=1 must be a pure pass-through:
     # same cycles, same stats snapshot, same metric items, same costs as
     # the bare RF/AN queue under the plain persistent kernel — the
     # equivalence pin that keeps every existing RF/AN number valid.
-    from repro.bfs.common import bfs_queue_capacity
     from repro.core import ShardedQueue
 
-    spec = dataset("Synthetic")
-    g = spec.build(spec.default_scale * 0.25)
-    plain = run_persistent_bfs(
-        g, spec.source, "RF/AN", TESTGPU, 4, verify=False
-    )
-    cap = bfs_queue_capacity(g, TESTGPU, 4)
-    sharded = run_persistent_bfs(
-        g, spec.source, "SHARDED", TESTGPU, 4, verify=False,
+    plain = bare("RF/AN")
+    sharded = _bfs(
+        synthetic, "SHARDED",
         queue_factory=lambda c: ShardedQueue(c, n_shards=1, steal=False),
-        capacity=cap,
     )
     assert sharded.cycles == plain.cycles
     assert sharded.stats.snapshot() == plain.stats.snapshot()

@@ -11,7 +11,6 @@ oracle history, merely a different interleaving.
 import numpy as np
 import pytest
 
-import repro.simt.engine as engine_mod
 from repro.core import SchedulerControl, make_queue, persistent_kernel
 from repro.core.scheduler import K_TASKS_DONE
 from repro.simt import TESTGPU, Engine
@@ -52,19 +51,6 @@ class TestBitIdentity:
         assert plain.stats.snapshot() == piped.stats.snapshot()
         for name in mem_plain:
             assert np.array_equal(mem_plain[name], mem_piped[name])
-
-    def test_controller_factory_hook_is_bit_identical_and_scoped(self):
-        plain, mem_plain, _ = _run()
-        assert engine_mod.CONTROLLER_FACTORY is None
-        try:
-            engine_mod.CONTROLLER_FACTORY = FifoController
-            hooked, mem_hooked, _ = _run()
-        finally:
-            engine_mod.CONTROLLER_FACTORY = None
-        assert plain.cycles == hooked.cycles
-        assert plain.stats.snapshot() == hooked.stats.snapshot()
-        for name in mem_plain:
-            assert np.array_equal(mem_plain[name], mem_hooked[name])
 
     def test_base_controller_defaults_to_engine_order(self):
         plain, _, _ = _run()
